@@ -9,36 +9,35 @@ elite slice of the population:
   unmasked (uninformative loci);
 * gene injection: overwriting a poor member's masked loci with the dominant
   symbols, with a permutation repair when that would duplicate symbols.
+
+The dominant chromosome offered as a candidate (scenario 1) is repaired the
+same way: it is gene injection with every locus masked, so one permutation
+repair serves both mechanisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .genome import DomainKind, GeneDomain, Genome
-from .population import Individual, Population, survivor_select
 
 
 @dataclass(frozen=True)
 class RepetitionMatrix:
-    """Per-locus symbol occurrence counts over an elite of `elite_size` genomes.
+    """Per-locus symbol occurrence counts over the elite rows.
 
     counts[locus, symbol] is dense; symbols beyond the observed range count 0.
-    first_seen[locus, symbol] is the first elite row holding that symbol there
-    (elite_size when absent) and carries the tie-break order.
+    The elite rows are kept: their order carries the tie-break order.
     """
 
     counts: np.ndarray
-    first_seen: np.ndarray
-    elite_size: int
+    elite: np.ndarray
 
-    def count(self, locus: int, symbol: int) -> int:
-        if 0 <= symbol < self.counts.shape[1]:
-            return int(self.counts[locus, symbol])
-        return 0
+    @property
+    def elite_size(self) -> int:
+        return self.elite.shape[0]
 
 
 @dataclass(frozen=True)
@@ -52,34 +51,30 @@ class PatternMask:
     bits: np.ndarray  # 1 = desired/fixed locus, 0 = open to change
     threshold: int
 
-    @property
-    def inverted(self) -> np.ndarray:
-        return 1 - self.bits
-
 
 def repetition_matrix(elite: np.ndarray) -> RepetitionMatrix:
     """Count symbol occurrences per locus over the elite rows."""
     elite = np.asarray(elite, dtype=np.int64)
     if elite.ndim != 2 or elite.shape[0] == 0:
         raise ValueError("elite must be a non-empty (M, L) genome matrix")
-    m, length = elite.shape
+    length = elite.shape[1]
     n_symbols = int(elite.max()) + 1
-    loci = np.broadcast_to(np.arange(length), (m, length))
-    rows = np.broadcast_to(np.arange(m)[:, None], (m, length))
-
-    counts = np.zeros((length, n_symbols), dtype=np.int64)
-    np.add.at(counts, (loci, elite), 1)
-    first_seen = np.full((length, n_symbols), m, dtype=np.int64)
-    np.minimum.at(first_seen, (loci, elite), rows)
-    return RepetitionMatrix(counts, first_seen, m)
+    cells = (np.arange(length) * n_symbols + elite).ravel()
+    counts = np.bincount(cells, minlength=length * n_symbols).reshape(length, n_symbols)
+    return RepetitionMatrix(counts, elite)
 
 
 def dominant_chromosome(rm: RepetitionMatrix) -> DominantChromosome:
-    """Most repeated symbol per locus; earliest-seen symbol wins count ties."""
-    repeat_counts = rm.counts.max(axis=1)
-    tie_rank = np.where(rm.counts == repeat_counts[:, None], rm.first_seen, rm.elite_size + 1)
-    genes = tie_rank.argmin(axis=1).astype(np.int64)
-    return DominantChromosome(genes, repeat_counts)
+    """Most repeated symbol per locus; earliest-seen symbol wins count ties.
+
+    The first elite row reaching a locus's maximum count holds a max-count
+    symbol, and no other max-count symbol appears in an earlier row.
+    """
+    loci = np.arange(rm.elite.shape[1])
+    entry_counts = rm.counts[loci, rm.elite]
+    repeat_counts = entry_counts.max(axis=0)
+    first_row = (entry_counts == repeat_counts).argmax(axis=0)
+    return DominantChromosome(rm.elite[first_row, loci], repeat_counts)
 
 
 def build_mask(dc: DominantChromosome, threshold: int) -> PatternMask:
@@ -94,17 +89,6 @@ def build_mask(dc: DominantChromosome, threshold: int) -> PatternMask:
     else:
         bits = (dc.repeat_counts > threshold).astype(np.int64)
     return PatternMask(bits, threshold)
-
-
-def select_scenario(weights: Sequence[float], rng: np.random.Generator) -> int:
-    """Categorical draw over the normalized scenario weights; returns 1, 2 or 3."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (3,) or (w < 0).any():
-        raise ValueError(f"weights must be three non-negative reals, got {weights!r}")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("scenario weights must not all be zero")
-    return int(np.searchsorted(np.cumsum(w / total), rng.random(), side="right")) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +130,6 @@ def directed_mutation(domain: GeneDomain, g: Genome, mask: PatternMask,
 # ---------------------------------------------------------------------------
 # gene injection (scenario 3)
 
-def repair_permutation(fixed: Mapping[int, int], source: Genome) -> Genome:
-    """Complete a partial permutation.
-
-    Fixed loci keep their symbols; every other locus is filled left to right
-    with the symbols absent from the fixed set, ordered as they appear in
-    `source`.
-    """
-    source = np.asarray(source, dtype=np.int64)
-    out = np.empty_like(source)
-    if not fixed:
-        return source.copy()
-    positions = np.fromiter(fixed.keys(), dtype=np.int64)
-    values = np.fromiter(fixed.values(), dtype=np.int64)
-    if np.unique(values).size != values.size:
-        raise ValueError("fixed loci hold duplicate symbols")
-    out[positions] = values
-    open_loci = np.setdiff1d(np.arange(source.size), positions)
-    fill = source[~np.isin(source, values)]
-    out[open_loci] = fill
-    return out
-
-
 def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask_bits: np.ndarray,
                          dc_genes: np.ndarray) -> np.ndarray:
     """Overwrite masked loci with dominant symbols across a recipient cohort."""
@@ -178,19 +140,16 @@ def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask_bits: np.
     fixed_pos, fixed_vals = _distinct_injection(mask_on, dc_genes)
     if fixed_pos.size == 0:
         return genomes.copy()
-    m, length = genomes.shape
     is_fixed_symbol = np.zeros(domain.n_symbols, dtype=bool)
     is_fixed_symbol[fixed_vals] = True
-    open_loci = np.setdiff1d(np.arange(length), fixed_pos)
+    open_locus = np.ones(genomes.shape[1], dtype=bool)
+    open_locus[fixed_pos] = False
 
-    # compact each row's non-fixed symbols, preserving their order
-    member = is_fixed_symbol[genomes]
-    order = np.argsort(member, axis=1, kind="stable")
-    fills = np.take_along_axis(genomes, order, axis=1)[:, : open_loci.size]
-
+    # every row holds each fixed symbol once, so its other symbols, kept in
+    # row order, exactly fill the open loci
     out = np.empty_like(genomes)
     out[:, fixed_pos] = fixed_vals
-    out[:, open_loci] = fills
+    out[:, open_locus] = genomes[~is_fixed_symbol[genomes]].reshape(genomes.shape[0], -1)
     return out
 
 
@@ -216,21 +175,9 @@ def _distinct_injection(mask_on: np.ndarray, dc_genes: np.ndarray) -> tuple[np.n
 
 def dominant_candidate(domain: GeneDomain, dc: DominantChromosome,
                        template: Genome) -> Genome:
-    """Dominant genes as a full genome, repaired against `template` when the
-    raw dominant vector is not a valid permutation."""
-    if domain.kind is DomainKind.BINARY:
+    """Dominant genes as a full genome; when the raw dominant vector is not a
+    valid permutation, the gene-injection repair completes it from `template`."""
+    if domain.kind is DomainKind.BINARY or np.unique(dc.genes).size == dc.genes.size:
         return dc.genes.copy()
-    _, first = np.unique(dc.genes, return_index=True)
-    if first.size == dc.genes.size:
-        return dc.genes.copy()
-    first.sort()
-    fixed = {int(i): int(dc.genes[i]) for i in first}
-    return repair_permutation(fixed, template)
-
-
-def apply_scenario1(pop: Population, dc: DominantChromosome, problem) -> Population:
-    """Submit the dominant chromosome as one extra offspring; size is unchanged."""
-    domain = problem.domain()
-    genes = dominant_candidate(domain, dc, pop.genes[0])
-    cost = float(problem.evaluate_batch(genes[None, :])[0])
-    return survivor_select(pop, [Individual(genes, cost)])
+    return gene_injection_batch(domain, np.asarray(template, dtype=np.int64)[None, :],
+                                np.ones_like(dc.genes), dc.genes)[0]

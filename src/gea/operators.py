@@ -123,15 +123,12 @@ def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
     rows = np.arange(m)[:, None]
     symbol_pos = np.empty((m, length + 1), dtype=np.int64)
     symbol_pos[rows, seg_parent] = pos
-    fill_in_segment = (symbol_pos[rows, fill_parent] >= lo[:, None]) & \
-                      (symbol_pos[rows, fill_parent] <= hi[:, None])
+    fill_pos = symbol_pos[rows, fill_parent]
+    fill_in_segment = (fill_pos >= lo[:, None]) & (fill_pos <= hi[:, None])
 
-    # stable argsort compaction: absent symbols first, original order kept
-    fill_order = np.argsort(fill_in_segment, axis=1, kind="stable")
-    fill_values = np.take_along_axis(fill_parent, fill_order, axis=1)
-    target = np.argsort(in_segment, axis=1, kind="stable")
-
+    # each row has as many loci outside the segment as symbols absent from
+    # it, so the row-major boolean compactions line up row by row
     child = np.empty_like(seg_parent)
-    np.put_along_axis(child, target, fill_values, axis=1)
     child[in_segment] = seg_parent[in_segment]
+    child[~in_segment] = fill_parent[~fill_in_segment]
     return child

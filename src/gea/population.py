@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -82,13 +82,13 @@ class Population:
         # row-wise first occurrences via a byte view (cheaper than unique(axis=0))
         rows = np.ascontiguousarray(genes).view(
             np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
-        first_seen = np.unique(rows, return_index=True)[1]
-        if first_seen.size >= self.capacity:
-            keep = np.sort(first_seen)[: self.capacity]
+        first_rows = np.unique(rows, return_index=True)[1]
+        if first_rows.size >= self.capacity:
+            keep = np.sort(first_rows)[: self.capacity]
         else:
             is_first = np.zeros(genes.shape[0], dtype=bool)
-            is_first[first_seen] = True
-            duplicates = np.flatnonzero(~is_first)[: self.capacity - first_seen.size]
+            is_first[first_rows] = True
+            duplicates = np.flatnonzero(~is_first)[: self.capacity - first_rows.size]
             keep = np.sort(np.concatenate([np.flatnonzero(is_first), duplicates]))
         return Population(genes[keep], costs[keep], capacity=self.capacity, presorted=True)
 
@@ -100,14 +100,6 @@ def init_population(problem, size: int, rng: np.random.Generator) -> Population:
     genes = problem.domain().sample_batch(rng, size)
     costs = problem.evaluate_batch(genes)
     return Population(genes, costs, capacity=size)
-
-
-def survivor_select(parents: Population, offspring: Sequence[Individual]) -> Population:
-    if not offspring:
-        return parents
-    genes = np.stack([np.asarray(ind.genes, dtype=np.int64) for ind in offspring])
-    costs = np.array([ind.cost for ind in offspring], dtype=np.float64)
-    return parents.select_survivors(genes, costs)
 
 
 def rank_weight_cumsum(size: int) -> np.ndarray:

@@ -12,7 +12,10 @@ Five algorithm variants share one generational loop:
 Each generation produces round(crossover_rate * pop) crossover children from
 rank-roulette parent pairs and round(mutation_rate * pop) mutants, applies the
 variant's mechanism, then truncates parents + offspring elitistically back to
-the population size, so the best cost never regresses.
+the population size, so the best cost never regresses. When any mechanism
+fires, the elite statistics (dominant chromosome and pattern mask) are computed
+once per generation, from the population before the offspring, and shared by
+all three mechanisms.
 
 Scenario draws consume a dedicated scheduler stream, separate from the
 operator stream; a ``gea`` run whose weights force a single scenario therefore
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engineering import (DominantChromosome, PatternMask, build_mask,
-                          dominant_candidate, dominant_chromosome,
+from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
                           directed_mutation_batch, gene_injection_batch,
                           repetition_matrix)
 from .genome import GeneDomain
@@ -77,10 +79,6 @@ class _Generation:
         self.elite_size = max(1, math.ceil(params.elite_fraction * size))
         self.threshold = math.ceil(params.threshold_fraction * self.elite_size)
 
-    def elite_stats(self, pop: Population) -> tuple[DominantChromosome, PatternMask]:
-        dc = dominant_chromosome(repetition_matrix(pop.genes[: self.elite_size]))
-        return dc, build_mask(dc, self.threshold)
-
     def step(self, pop: Population, problem, rng: np.random.Generator,
              scheduler_rng: np.random.Generator) -> Population:
         if self.params.variant == "gea":
@@ -90,6 +88,10 @@ class _Generation:
         else:
             scenario = _FIXED_SCENARIO[self.params.variant]
             run1, run2, run3 = scenario == 1, scenario == 2, scenario == 3
+        if run1 or run2 or run3:
+            # one elite pass feeds every mechanism; it draws no random numbers
+            dc = dominant_chromosome(repetition_matrix(pop.genes[: self.elite_size]))
+            mask = build_mask(dc, self.threshold)
 
         parts: list[np.ndarray] = []
         if self.n_cross > 0:
@@ -105,19 +107,16 @@ class _Generation:
             source_idx = roulette_indices(self.size, self.n_mut, rng, self.cumulative)
             sources = pop.genes[source_idx]
             if run2:
-                _, mask = self.elite_stats(pop)
                 parts.append(directed_mutation_batch(self.domain, sources, mask.bits, rng))
             else:
                 parts.append(mutate_batch(self.domain, sources, rng))
 
         if run1:
-            dc, _ = self.elite_stats(pop)
             parts.append(dominant_candidate(self.domain, dc, pop.genes[0])[None, :])
         if run3:
             pool = self.size - self.elite_size
             n_inject = min(self.n_mut, pool)
             if n_inject > 0:
-                dc, mask = self.elite_stats(pop)
                 offsets = rng.choice(pool, size=n_inject, replace=False)
                 recipients = pop.genes[self.elite_size + offsets]
                 parts.append(gene_injection_batch(self.domain, recipients,

@@ -3,14 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gea.engineering import (DominantChromosome, PatternMask, apply_scenario1,
-                             build_mask, directed_mutation, directed_mutation_batch,
+from gea.engineering import (DominantChromosome, PatternMask, build_mask,
+                             directed_mutation, directed_mutation_batch,
                              dominant_candidate, dominant_chromosome, gene_injection,
-                             gene_injection_batch, repair_permutation,
-                             repetition_matrix, select_scenario)
+                             gene_injection_batch, repetition_matrix)
 from gea.genome import GeneDomain
-from gea.population import Population
-from gea.problems import OneMax
 from gea.rng import make_rng
 
 
@@ -34,18 +31,18 @@ class TestRepetitionMatrix:
     def test_counts_example(self):
         rm = repetition_matrix(np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]]))
         assert rm.elite_size == 3
-        assert rm.count(0, 1) == 3 and rm.count(0, 0) == 0
-        assert rm.count(1, 0) == 2 and rm.count(1, 1) == 1
-        assert rm.count(2, 0) == 2 and rm.count(2, 1) == 1
+        assert rm.counts[0, 1] == 3 and rm.counts[0, 0] == 0
+        assert rm.counts[1, 0] == 2 and rm.counts[1, 1] == 1
+        assert rm.counts[2, 0] == 2 and rm.counts[2, 1] == 1
         assert (rm.counts.sum(axis=1) == 3).all()
 
     def test_identical_members(self):
         rm = repetition_matrix(np.array([[0, 1], [0, 1]]))
-        assert rm.count(0, 0) == 2 and rm.count(1, 1) == 2
+        assert rm.counts[0, 0] == 2 and rm.counts[1, 1] == 2
 
     def test_single_member(self):
         rm = repetition_matrix(np.array([[1, 0]]))
-        assert rm.count(0, 1) == 1 and rm.count(1, 0) == 1
+        assert rm.counts[0, 1] == 1 and rm.counts[1, 0] == 1
 
     def test_empty_elite_rejected(self):
         with pytest.raises(ValueError):
@@ -73,10 +70,21 @@ class TestDominantChromosome:
 
     def test_matches_independent_oracle(self):
         rng = make_rng(99)
-        for _ in range(1000):
+        for trial in range(3000):
             m = int(rng.integers(1, 7))
-            length = int(rng.integers(1, 9))
-            elite = rng.integers(0, 2, size=(m, length))
+            if trial % 3 == 0:
+                length = int(rng.integers(1, 9))
+                elite = rng.integers(0, 2, size=(m, length))
+            else:
+                dom = GeneDomain.permutation(int(rng.integers(2, 8)), int(rng.integers(1, 4)))
+                elite = dom.sample_batch(rng, m)
+                if trial % 3 == 2:
+                    # near-converged: each row one swap away from one of two
+                    # parents, so many loci end in count ties among symbols
+                    elite = elite[rng.integers(0, min(m, 2), size=m)]
+                    for row in elite:
+                        i, j = rng.choice(dom.length, size=2, replace=False)
+                        row[[i, j]] = row[[j, i]]
             dc = dominant_chromosome(repetition_matrix(elite))
             genes, repeats = majority_oracle(elite)
             assert np.array_equal(dc.genes, genes)
@@ -91,12 +99,6 @@ class TestBuildMask:
     def test_zero_threshold_disables_mask(self):
         dc = DominantChromosome(np.array([1, 1]), np.array([5, 9]))
         assert build_mask(dc, 0).bits.tolist() == [0, 0]
-
-    def test_inverted_is_complement(self):
-        dc = DominantChromosome(np.array([0, 1]), np.array([3, 3]))
-        mask = build_mask(dc, 2)
-        assert mask.bits.tolist() == [1, 1]
-        assert mask.inverted.tolist() == [0, 0]
 
     def test_negative_threshold_rejected(self):
         dc = DominantChromosome(np.array([0]), np.array([1]))
@@ -231,21 +233,23 @@ class TestGeneInjection:
 
 
 class TestRepairPermutation:
+    # the one permutation repair, reached through gene injection: masked
+    # loci keep their dominant symbols, the others are filled in source order
     def test_fill_in_source_order(self):
-        out = repair_permutation({0: 1}, np.array([2, 3, 1, 4]))
-        assert out.tolist() == [1, 2, 3, 4]
+        out = gene_injection_batch(GeneDomain.permutation(4), np.array([[2, 3, 1, 4]]),
+                                   np.array([1, 0, 0, 0]), np.array([1, 1, 1, 1]))
+        assert out[0].tolist() == [1, 2, 3, 4]
 
     def test_no_fixed_loci_returns_source(self):
         src = np.array([3, 1, 2])
-        assert repair_permutation({}, src).tolist() == src.tolist()
+        out = gene_injection_batch(GeneDomain.permutation(3), src[None, :],
+                                   np.zeros(3, dtype=np.int64), np.array([1, 2, 3]))
+        assert out[0].tolist() == src.tolist()
 
     def test_fully_fixed_returns_fixed(self):
-        out = repair_permutation({0: 2, 1: 1, 2: 3}, np.array([1, 2, 3]))
-        assert out.tolist() == [2, 1, 3]
-
-    def test_duplicate_fixed_symbols_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            repair_permutation({0: 1, 2: 1}, np.array([1, 2, 3]))
+        out = gene_injection_batch(GeneDomain.permutation(3), np.array([[1, 2, 3]]),
+                                   np.ones(3, dtype=np.int64), np.array([2, 1, 3]))
+        assert out[0].tolist() == [2, 1, 3]
 
 
 class TestDominantCandidate:
@@ -263,55 +267,27 @@ class TestDominantCandidate:
         assert out.tolist() == [2, 4, 1, 3]
         assert dom.contains(out)
 
+    def test_matches_repair_oracle(self):
+        def repair(dominant, template):
+            # first occurrence of each dominant symbol fixed, other loci
+            # filled with the remaining symbols in template order
+            first = {}
+            for locus, symbol in enumerate(dominant):
+                first.setdefault(symbol, locus)
+            fixed = {locus: symbol for symbol, locus in first.items()}
+            fill = iter([symbol for symbol in template if symbol not in first])
+            return [fixed[locus] if locus in fixed else next(fill)
+                    for locus in range(len(dominant))]
 
-class TestSelectScenario:
-    def test_normalized_frequencies(self):
-        rng = make_rng(8)
-        draws = 100_000
-        outcomes = np.array([select_scenario((0.5, 0.5, 0.2), rng) for _ in range(draws)])
-        for scenario, p in ((1, 5 / 12), (2, 5 / 12), (3, 2 / 12)):
-            count = (outcomes == scenario).sum()
-            sigma = np.sqrt(draws * p * (1 - p))
-            assert abs(count - draws * p) <= 3 * sigma
-
-    def test_degenerate_weights(self):
-        rng = make_rng(0)
-        assert all(select_scenario((1, 0, 0), rng) == 1 for _ in range(20))
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            select_scenario((0, 0, 0), make_rng(0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            select_scenario((0.5, -0.1, 0.2), make_rng(0))
-
-
-class TestApplyScenario1:
-    def _population(self, genomes, problem):
-        genes = np.array(genomes)
-        return Population(genes, problem.evaluate_batch(genes))
-
-    def test_better_candidate_replaces_worst(self):
-        problem = OneMax(3)
-        pop = self._population([[1, 1, 0], [0, 0, 0]], problem)
-        dc = dominant_chromosome(repetition_matrix(np.array([[1, 1, 1]])))
-        out = apply_scenario1(pop, dc, problem)
-        assert len(out) == 2
-        assert out.best_cost == 0.0
-        assert out.costs.tolist() == [0.0, 1.0]
-
-    def test_worse_candidate_rejected(self):
-        problem = OneMax(3)
-        pop = self._population([[1, 1, 0], [1, 0, 1]], problem)
-        dc = dominant_chromosome(repetition_matrix(np.array([[0, 0, 0]])))
-        out = apply_scenario1(pop, dc, problem)
-        assert np.array_equal(out.genes, pop.genes)
-
-    def test_candidate_equal_to_best_keeps_incumbent(self):
-        problem = OneMax(3)
-        pop = self._population([[1, 1, 1], [1, 0, 1]], problem)
-        dc = dominant_chromosome(repetition_matrix(np.array([[1, 1, 1]])))
-        out = apply_scenario1(pop, dc, problem)
-        assert np.array_equal(out.genes, pop.genes)
-        assert np.array_equal(out.costs, pop.costs)
+        rng = make_rng(13)
+        for trial in range(1000):
+            dom = GeneDomain.permutation(int(rng.integers(2, 9)), int(rng.integers(0, 4)))
+            if trial % 4 == 0:
+                genes = dom.sample(rng)  # already a valid genome
+            else:
+                genes = rng.choice(dom.alphabet, size=dom.length)
+            dc = DominantChromosome(genes, np.ones(dom.length, dtype=np.int64))
+            template = dom.sample(rng)
+            out = dominant_candidate(dom, dc, template)
+            assert out.tolist() == repair(genes.tolist(), template.tolist())
+            assert dom.contains(out)

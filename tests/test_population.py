@@ -3,7 +3,7 @@ import pytest
 
 from gea.genome import GeneDomain
 from gea.population import (Individual, Population, init_population,
-                            roulette_indices, roulette_select, survivor_select)
+                            roulette_indices, roulette_select)
 from gea.problems import OneMax
 from gea.rng import make_rng
 
@@ -86,25 +86,23 @@ class TestRoulette:
 class TestSurvivorSelect:
     def test_truncation_keeps_best(self):
         parents = pop_from_costs([1.0, 5.0])
-        child = Individual(np.array([100, 101, 102]), 3.0)
-        out = survivor_select(parents, [child])
+        out = parents.select_survivors(np.array([[100, 101, 102]]), np.array([3.0]))
         assert out.costs.tolist() == [1.0, 3.0]
         assert len(out) == parents.capacity == 2
 
     def test_empty_offspring_is_identity(self):
         parents = pop_from_costs([1.0, 5.0])
-        assert survivor_select(parents, []) is parents
+        empty = np.empty((0, 3), dtype=np.int64)
+        assert parents.select_survivors(empty, np.empty(0)) is parents
 
     def test_cost_tie_prefers_incumbent(self):
         parents = pop_from_costs([1.0, 2.0])
-        rival = Individual(np.array([100, 101, 102]), 2.0)
-        out = survivor_select(parents, [rival])
+        out = parents.select_survivors(np.array([[100, 101, 102]]), np.array([2.0]))
         assert np.array_equal(out.genes, parents.genes)
 
     def test_duplicate_genomes_are_suppressed(self):
         parents = pop_from_costs([1.0, 2.0])
-        clone_of_best = Individual(parents.genes[0].copy(), 1.0)
-        out = survivor_select(parents, [clone_of_best])
+        out = parents.select_survivors(parents.genes[:1].copy(), np.array([1.0]))
         assert np.array_equal(out.genes, parents.genes)
 
     def test_duplicates_fill_small_domains(self):

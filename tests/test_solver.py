@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gea.solver
 from gea.population import Population, init_population
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
@@ -118,6 +119,26 @@ class TestFit:
                           pop_size=20, max_iters=60, seed=11).fit(problem)
             assert np.array_equal(a.trace_, b.trace_)
             assert np.array_equal(a.best_genes_, b.best_genes_)
+
+
+class TestElitePass:
+    @pytest.mark.parametrize("variant,expected_per_generation", [("gea", 1), ("ga", 0)])
+    def test_one_repetition_matrix_per_generation(self, monkeypatch, variant,
+                                                  expected_per_generation):
+        calls = []
+        original = gea.solver.repetition_matrix
+
+        def counting(elite):
+            calls.append(1)
+            return original(elite)
+
+        monkeypatch.setattr(gea.solver, "repetition_matrix", counting)
+        generations = 25
+        for problem in (OneMax(12), VehicleRouting(generate_instance(6, 2, 5))):
+            calls.clear()
+            GeaSolver(variant=variant, scenario_weights=(1, 1, 1), pop_size=20,
+                      max_iters=generations, seed=3).fit(problem)
+            assert len(calls) == expected_per_generation * generations
 
 
 class TestIterate:
