@@ -71,6 +71,8 @@ class Population:
         Duplicate genomes are suppressed while distinct ones are available,
         so selection pressure cannot collapse the pool into copies of one
         solution; duplicates fill the remainder only in tiny domains.
+        Distinctness is exact genome equality, checked on the compact
+        per-row key of `row_keys`.
         """
         if offspring_genes.shape[0] == 0:
             return self
@@ -79,10 +81,7 @@ class Population:
         order = np.argsort(costs, kind="stable")
         genes, costs = genes[order], costs[order]
 
-        # row-wise first occurrences via a byte view (cheaper than unique(axis=0))
-        rows = np.ascontiguousarray(genes).view(
-            np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
-        first_rows = np.unique(rows, return_index=True)[1]
+        first_rows = np.unique(row_keys(genes), return_index=True)[1]
         if first_rows.size >= self.capacity:
             keep = np.sort(first_rows)[: self.capacity]
         else:
@@ -91,6 +90,23 @@ class Population:
             duplicates = np.flatnonzero(~is_first)[: self.capacity - first_rows.size]
             keep = np.sort(np.concatenate([np.flatnonzero(is_first), duplicates]))
         return Population(genes[keep], costs[keep], capacity=self.capacity, presorted=True)
+
+
+def row_keys(genes: np.ndarray) -> np.ndarray:
+    """One opaque byte key per row; two keys are equal iff their rows are.
+
+    The key is the narrowest exact encoding of the rows, read off the genes:
+    packed bits when every gene is 0 or 1, the smallest unsigned integer type
+    holding the largest gene when none is negative, int64 bytes otherwise.
+    Sorting short keys is what makes `np.unique` cheaper than on raw rows.
+    """
+    if genes.min() >= 0:
+        top = int(genes.max())
+        # packbits reads int64 input several times slower than uint8
+        genes = (np.packbits(genes.astype(np.uint8), axis=1) if top <= 1
+                 else genes.astype(np.min_scalar_type(top)))
+    genes = np.ascontiguousarray(genes)
+    return genes.view(np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
 
 
 def init_population(problem, size: int, rng: np.random.Generator) -> Population:

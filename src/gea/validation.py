@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,8 @@ def check_fraction(name: str, value, low: float = 0.0, high: float = 1.0,
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if value < low or value > high or (low_open and value == low):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not low <= value <= high or (low_open and value == low):
         bracket = "(" if low_open else "["
         raise ValueError(f"{name} must be in {bracket}{low}, {high}], got {value}")
     return value
@@ -43,6 +45,8 @@ def check_weights(name: str, weights: Sequence[float], size: int = 3,
     values = tuple(float(w) for w in weights)
     if len(values) != size:
         raise ValueError(f"{name} must have {size} entries, got {len(values)}")
+    if not all(math.isfinite(w) for w in values):
+        raise ValueError(f"{name} entries must be finite, got {values}")
     if any(w < 0 for w in values):
         raise ValueError(f"{name} entries must be non-negative, got {values}")
     if require_positive and sum(values) <= 0:

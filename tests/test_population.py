@@ -3,8 +3,8 @@ import pytest
 
 from gea.genome import GeneDomain
 from gea.population import (Individual, Population, init_population,
-                            roulette_indices, roulette_select)
-from gea.problems import OneMax
+                            roulette_indices, roulette_select, row_keys)
+from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng
 
 
@@ -12,6 +12,24 @@ def pop_from_costs(costs, length=3):
     """Distinct genomes carrying prescribed costs (cost = index pattern)."""
     genes = np.arange(len(costs) * length).reshape(len(costs), length)
     return Population(genes, np.array(costs, dtype=float))
+
+
+def reference_survivors(pop, offspring_genes, offspring_costs):
+    """Loop reference for select_survivors: walk the stable cost order with
+    parents first, keep each genome's first occurrence, then fill the rest
+    with the earliest duplicates; survivors stay in cost order."""
+    genes = np.concatenate([pop.genes, offspring_genes])
+    costs = np.concatenate([pop.costs, offspring_costs])
+    order = sorted(range(len(costs)), key=lambda i: costs[i])
+    seen, firsts, duplicates = set(), [], []
+    for rank, i in enumerate(order):
+        key = tuple(genes[i].tolist())
+        (duplicates if key in seen else firsts).append(rank)
+        seen.add(key)
+    kept = firsts[: pop.capacity]
+    kept = sorted(kept + duplicates[: pop.capacity - len(kept)])
+    rows = [order[rank] for rank in kept]
+    return genes[rows], costs[rows]
 
 
 class TestPopulation:
@@ -125,3 +143,41 @@ class TestSurvivorSelect:
             assert pop.best_cost <= best_before
             assert (np.diff(pop.costs) >= 0).all()
             assert len(pop) == 10
+
+    @pytest.mark.parametrize("case", [
+        "binary-1", "binary-7", "binary-9", "binary-250", "permutation",
+        "differ-by-256", "above-65535", "negative",
+    ])
+    def test_matches_reference_loop(self, case):
+        rng = make_rng(11)
+        for trial in range(60):
+            if case.startswith("binary"):
+                draw = GeneDomain.binary(int(case.split("-")[1])).sample_batch
+            elif case == "permutation":
+                draw = GeneDomain.permutation(6 + trial % 25, 1 + trial % 4).sample_batch
+            else:
+                alphabet = {"differ-by-256": [0, 1, 256, 257],
+                            "above-65535": [1, 2, 65536, 65537, 2**40],
+                            "negative": [-1, 0, 1, 255]}[case]
+                draw = lambda r, n: r.choice(alphabet, size=(n, 2 + trial % 3))
+            # few templates and few cost levels: duplicates and cost ties abound,
+            # and capacity often exceeds the distinct count
+            templates = draw(rng, 1 + trial % 12)
+            size, n_offspring = 2 + trial % 9, trial % 7
+            pop = Population(templates[rng.integers(0, len(templates), size)],
+                             rng.integers(0, 4, size).astype(float))
+            offspring = templates[rng.integers(0, len(templates), n_offspring)]
+            offspring_costs = rng.integers(0, 4, n_offspring).astype(float)
+            out = pop.select_survivors(offspring, offspring_costs)
+            genes, costs = (reference_survivors(pop, offspring, offspring_costs)
+                            if n_offspring else (pop.genes, pop.costs))
+            assert np.array_equal(out.genes, genes)
+            assert np.array_equal(out.costs, costs)
+
+    def test_key_width(self):
+        # one bit per 0/1 gene, one byte per routing locus below 256 symbols
+        binary = GeneDomain.binary(300).sample_batch(make_rng(0), 5)
+        assert row_keys(binary).dtype.itemsize == 38
+        routing = VehicleRouting(generate_instance(200, 10, 1)).domain().sample_batch(make_rng(0), 5)
+        assert routing.shape[1] == 209
+        assert row_keys(routing).dtype.itemsize == 209

@@ -56,6 +56,9 @@ class TestFitValidation:
         ({"scenario_weights": (0.0, 0.0, 0.0)}, "scenario_weights"),
         ({"scenario_weights": (1.5, 0.5, 0.5)}, "scenario_weights"),
         ({"seed": -1}, "seed"),
+        ({"crossover_rate": float("nan")}, "crossover_rate"),
+        ({"scenario_weights": (float("nan"), 0.5, 0.2)}, "scenario_weights"),
+        ({"variant": "ga", "scenario_weights": (float("inf"), 0.0, 0.0)}, "scenario_weights"),
     ])
     def test_invalid_params_named_in_error(self, params, fragment):
         kwargs = {"pop_size": 50, "max_iters": 1}
