@@ -6,13 +6,11 @@ reproducible benchmark harness.
 """
 
 from .engineering import (DominantChromosome, PatternMask, RepetitionMatrix,
-                          build_mask, directed_mutation, dominant_chromosome,
-                          gene_injection, repetition_matrix)
+                          build_mask, dominant_chromosome, repetition_matrix)
 from .genome import DomainKind, GeneDomain
 from .harness import (BatchResult, Benchmark, IntervalRow, StatsRow, compute_stats,
                       confidence_interval, full_benchmark, interval_data, run_batch)
-from .operators import crossover, mutate
-from .population import Individual, Population, init_population, roulette_select
+from .population import Individual, Population, init_population
 from .problems import (Knapsack, KnapsackInstance, OneMax, Problem, VehicleRouting,
                        VrpInstance, generate_instance, generate_knapsack_instance,
                        knapsack_dp_optimum, load_instance, standard_suite,
@@ -25,10 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainKind", "GeneDomain", "Individual", "Population",
-    "init_population", "roulette_select", "crossover", "mutate",
+    "init_population",
     "RepetitionMatrix", "DominantChromosome", "PatternMask",
-    "repetition_matrix", "dominant_chromosome", "build_mask", "directed_mutation",
-    "gene_injection",
+    "repetition_matrix", "dominant_chromosome", "build_mask",
     "GeaSolver", "VARIANTS", "NotFittedError",
     "Problem", "OneMax", "Knapsack", "KnapsackInstance", "VehicleRouting",
     "VrpInstance", "generate_instance", "generate_knapsack_instance",

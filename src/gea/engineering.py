@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genome import DomainKind, GeneDomain, Genome
+from .operators import mutate_loci
 
 
 @dataclass(frozen=True)
@@ -97,34 +98,10 @@ def build_mask(dc: DominantChromosome, threshold: int) -> PatternMask:
 def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, mask_bits: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
     """Mutate only unmasked loci; rows come back unchanged when too few exist."""
-    free = np.flatnonzero(np.asarray(mask_bits) == 0)
-    m = genomes.shape[0]
-    out = genomes.copy()
-    if m == 0:
-        return out
-    rows = np.arange(m)
-    if domain.kind is DomainKind.BINARY:
-        if free.size == 0:
-            return out
-        loci = free[rng.integers(0, free.size, size=m)]
-        out[rows, loci] ^= 1
-        return out
-    if free.size < 2:
-        return out
-    i = rng.integers(0, free.size, size=m)
-    j = rng.integers(0, free.size - 1, size=m)
-    j = j + (j >= i)
-    fi, fj = free[i], free[j]
-    out[rows, fi], out[rows, fj] = genomes[rows, fj], genomes[rows, fi]
-    return out
-
-
-def directed_mutation(domain: GeneDomain, g: Genome, mask: PatternMask,
-                      rng: np.random.Generator) -> Genome:
-    if len(mask.bits) != len(g):
+    mask_bits = np.asarray(mask_bits)
+    if mask_bits.shape != genomes.shape[1:]:
         raise ValueError("mask length must equal genome length")
-    return directed_mutation_batch(domain, np.asarray(g, dtype=np.int64)[None, :],
-                                   mask.bits, rng)[0]
+    return mutate_loci(domain, genomes, np.flatnonzero(mask_bits == 0), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +111,8 @@ def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask_bits: np.
                          dc_genes: np.ndarray) -> np.ndarray:
     """Overwrite masked loci with dominant symbols across a recipient cohort."""
     mask_on = np.asarray(mask_bits) == 1
+    if mask_on.shape != genomes.shape[1:] or dc_genes.shape != genomes.shape[1:]:
+        raise ValueError("mask and dominant chromosome must match the genome length")
     if domain.kind is DomainKind.BINARY:
         return np.where(mask_on[None, :], dc_genes[None, :], genomes)
 
@@ -151,14 +130,6 @@ def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask_bits: np.
     out[:, fixed_pos] = fixed_vals
     out[:, open_locus] = genomes[~is_fixed_symbol[genomes]].reshape(genomes.shape[0], -1)
     return out
-
-
-def gene_injection(domain: GeneDomain, g: Genome, mask: PatternMask,
-                   dc: DominantChromosome) -> Genome:
-    if len(mask.bits) != len(g) or len(dc.genes) != len(g):
-        raise ValueError("mask and dominant chromosome must match the genome length")
-    return gene_injection_batch(domain, np.asarray(g, dtype=np.int64)[None, :],
-                                mask.bits, dc.genes)[0]
 
 
 def _distinct_injection(mask_on: np.ndarray, dc_genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

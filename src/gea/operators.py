@@ -4,59 +4,18 @@ Binary genomes use single-point crossover and single bit flips; permutation
 genomes use order crossover (OX) and position swaps, both of which preserve
 the every-symbol-exactly-once invariant.
 
-Each operator has a pure core taking explicit cut points / loci (used by the
-deterministic examples in the tests) and a random wrapper that draws them.
-The batch forms run one vectorized pass over a whole offspring cohort and are
-the only implementation; scalar wrappers delegate to them.
+The operators take whole cohorts, one genome per row, and make one vectorized
+pass per call; there is no per-genome form. `crossover_batch` draws the cut
+points for the crossover kernels. `mutate_loci` is the one mutation kernel:
+`mutate_batch` lets it draw from every locus, and directed mutation (in
+`engineering`) only from the loci its pattern mask leaves open.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .genome import DomainKind, GeneDomain, Genome
-
-
-# ---------------------------------------------------------------------------
-# pure cores
-
-def single_point_crossover(p1: Genome, p2: Genome, cut: int) -> tuple[Genome, Genome]:
-    """Swap suffixes at `cut` (1..L-1)."""
-    c1, c2 = _single_point_batch(p1[None, :], p2[None, :], np.array([cut]))
-    return c1[0], c2[0]
-
-
-def order_crossover(p1: Genome, p2: Genome, lo: int, hi: int) -> tuple[Genome, Genome]:
-    """OX: child keeps p1[lo..hi] in place, remaining loci take the other
-    parent's absent symbols in their relative order (left to right)."""
-    c1 = _ox_batch(p1[None, :], p2[None, :], np.array([lo]), np.array([hi]))
-    c2 = _ox_batch(p2[None, :], p1[None, :], np.array([lo]), np.array([hi]))
-    return c1[0], c2[0]
-
-
-def flip_mutation(g: Genome, locus: int) -> Genome:
-    out = np.array(g, dtype=np.int64)
-    out[locus] ^= 1
-    return out
-
-
-def swap_mutation(g: Genome, i: int, j: int) -> Genome:
-    out = np.array(g, dtype=np.int64)
-    out[i], out[j] = out[j], out[i]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# random wrappers
-
-def crossover(domain: GeneDomain, p1: Genome, p2: Genome,
-              rng: np.random.Generator) -> tuple[Genome, Genome]:
-    c1, c2 = crossover_batch(domain, np.asarray(p1)[None, :], np.asarray(p2)[None, :], rng)
-    return c1[0], c2[0]
-
-
-def mutate(domain: GeneDomain, g: Genome, rng: np.random.Generator) -> Genome:
-    return mutate_batch(domain, np.asarray(g)[None, :], rng)[0]
+from .genome import DomainKind, GeneDomain
 
 
 def crossover_batch(domain: GeneDomain, parents1: np.ndarray, parents2: np.ndarray,
@@ -85,21 +44,27 @@ def crossover_batch(domain: GeneDomain, parents1: np.ndarray, parents2: np.ndarr
 def mutate_batch(domain: GeneDomain, genomes: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """One uniformly drawn bit flip (binary) or distinct-position swap (permutation) per row."""
-    m, length = genomes.shape
+    return mutate_loci(domain, genomes, np.arange(genomes.shape[1]), rng)
+
+
+def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """Flip one bit or swap two distinct positions per row, drawn from the
+    `free` loci only; rows come back unchanged when too few loci are free."""
+    m = genomes.shape[0]
     out = genomes.copy()
-    if m == 0:
+    binary = domain.kind is DomainKind.BINARY
+    if m == 0 or free.size < (1 if binary else 2):
         return out
     rows = np.arange(m)
-    if domain.kind is DomainKind.BINARY:
-        loci = rng.integers(0, length, size=m)
-        out[rows, loci] ^= 1
+    i = rng.integers(0, free.size, size=m)
+    if binary:
+        out[rows, free[i]] ^= 1
         return out
-    if length < 2:
-        return out
-    i = rng.integers(0, length, size=m)
-    j = rng.integers(0, length - 1, size=m)
+    j = rng.integers(0, free.size - 1, size=m)
     j = j + (j >= i)
-    out[rows, i], out[rows, j] = genomes[rows, j], genomes[rows, i]
+    fi, fj = free[i], free[j]
+    out[rows, fi], out[rows, fj] = genomes[rows, fj], genomes[rows, fi]
     return out
 
 

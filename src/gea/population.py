@@ -17,16 +17,15 @@ class Individual:
 
 
 class Population:
-    """Fixed-capacity pool of evaluated genomes, kept sorted by ascending cost.
+    """Fixed-size pool of evaluated genomes, kept sorted by ascending cost.
 
     Backed by a (size, L) gene matrix plus a cost vector so whole-cohort
     operations stay vectorized; `members()` materializes Individuals on demand.
     """
 
-    __slots__ = ("genes", "costs", "capacity")
+    __slots__ = ("genes", "costs")
 
-    def __init__(self, genes: np.ndarray, costs: np.ndarray,
-                 capacity: int | None = None, presorted: bool = False):
+    def __init__(self, genes: np.ndarray, costs: np.ndarray, presorted: bool = False):
         genes = np.asarray(genes, dtype=np.int64)
         costs = np.asarray(costs, dtype=np.float64)
         if genes.ndim != 2 or genes.shape[0] != costs.shape[0]:
@@ -40,7 +39,6 @@ class Population:
             genes, costs = genes[order], costs[order]
         self.genes = genes
         self.costs = costs
-        self.capacity = genes.shape[0] if capacity is None else capacity
 
     def __len__(self) -> int:
         return self.genes.shape[0]
@@ -64,7 +62,7 @@ class Population:
 
     def select_survivors(self, offspring_genes: np.ndarray,
                          offspring_costs: np.ndarray) -> "Population":
-        """Elitist truncation of parents + offspring back to capacity.
+        """Elitist truncation of parents + offspring back to the population size.
 
         The stable sort with parents listed first realizes the tie-break:
         incumbents beat equal-cost offspring, earlier insertions beat later.
@@ -79,17 +77,19 @@ class Population:
         genes = np.concatenate([self.genes, offspring_genes])
         costs = np.concatenate([self.costs, np.asarray(offspring_costs, dtype=np.float64)])
         order = np.argsort(costs, kind="stable")
-        genes, costs = genes[order], costs[order]
 
-        first_rows = np.unique(row_keys(genes), return_index=True)[1]
-        if first_rows.size >= self.capacity:
-            keep = np.sort(first_rows)[: self.capacity]
+        # ranks index the cost order; only the kept rows are ever gathered
+        size = len(self)
+        first_ranks = np.unique(row_keys(genes)[order], return_index=True)[1]
+        if first_ranks.size >= size:
+            keep = np.sort(first_ranks)[:size]
         else:
-            is_first = np.zeros(genes.shape[0], dtype=bool)
-            is_first[first_rows] = True
-            duplicates = np.flatnonzero(~is_first)[: self.capacity - first_rows.size]
+            is_first = np.zeros(order.size, dtype=bool)
+            is_first[first_ranks] = True
+            duplicates = np.flatnonzero(~is_first)[: size - first_ranks.size]
             keep = np.sort(np.concatenate([np.flatnonzero(is_first), duplicates]))
-        return Population(genes[keep], costs[keep], capacity=self.capacity, presorted=True)
+        rows = order[keep]
+        return Population(genes[rows], costs[rows], presorted=True)
 
 
 def row_keys(genes: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ def init_population(problem, size: int, rng: np.random.Generator) -> Population:
         raise ValueError(f"population size must be >= 2, got {size}")
     genes = problem.domain().sample_batch(rng, size)
     costs = problem.evaluate_batch(genes)
-    return Population(genes, costs, capacity=size)
+    return Population(genes, costs)
 
 
 def rank_weight_cumsum(size: int) -> np.ndarray:
@@ -125,7 +125,8 @@ def rank_weight_cumsum(size: int) -> np.ndarray:
 
 def roulette_indices(size: int, draws: int, rng: np.random.Generator,
                      cumulative: np.ndarray | None = None) -> np.ndarray:
-    """Rank-proportional member indices for a sorted population of `size`."""
+    """Rank-based roulette wheel over a sorted population of `size`:
+    each draw picks index i with probability (size - i) / sum of weights."""
     if size < 1:
         raise ValueError("cannot select from an empty population")
     if cumulative is None:
@@ -133,7 +134,3 @@ def roulette_indices(size: int, draws: int, rng: np.random.Generator,
     points = rng.random(draws) * cumulative[-1]
     return np.searchsorted(cumulative, points, side="right")
 
-
-def roulette_select(pop: Population, rng: np.random.Generator) -> int:
-    """Rank-based roulette wheel: P(index i) = (size - i) / sum of weights."""
-    return int(roulette_indices(len(pop), 1, rng)[0])

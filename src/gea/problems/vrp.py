@@ -50,6 +50,11 @@ class VrpInstance:
                 f"n={len(self.customers)}"
             )
         points = np.array([self.depot, *self.customers], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if bad.size:
+            named = [f"depot {self.depot}" if i == 0 else f"customer {i} {self.customers[i - 1]}"
+                     for i in bad]
+            raise ValueError(f"coordinates must be finite, got {', '.join(named)}")
         delta = points[:, None, :] - points[None, :, :]
         object.__setattr__(self, "distances", np.hypot(delta[..., 0], delta[..., 1]))
 

@@ -1,25 +1,29 @@
 """Gene-engineering solver with an sklearn-style estimator surface.
 
-Five algorithm variants share one generational loop:
+Five algorithm variants share one generational loop. Each generation fires
+each of three mechanisms independently, with a probability given by a weight
+triple, through one scenario gate:
 
-* ``ga``    - crossover + undirected mutation only;
-* ``gea1``  - adds the dominant chromosome as a candidate offspring;
-* ``gea2``  - replaces undirected mutation with mask-directed mutation;
-* ``gea3``  - injects dominant genes into members drawn from the non-elite;
-* ``gea``   - fires each mechanism independently per iteration, gated by its
-  scenario weight as a probability (weights need not sum to one).
+* scenario 1 adds the dominant chromosome as a candidate offspring;
+* scenario 2 replaces undirected mutation with mask-directed mutation;
+* scenario 3 injects dominant genes into members drawn from the non-elite.
+
+``gea`` uses the ``scenario_weights`` parameter (weights need not sum to one).
+The other variants are ablations with a constant triple: ``ga`` (0, 0, 0) is
+crossover + undirected mutation only, and ``gea1``, ``gea2`` and ``gea3`` each
+always fire one scenario: (1, 0, 0), (0, 1, 0) and (0, 0, 1).
 
 Each generation produces round(crossover_rate * pop) crossover children from
 rank-roulette parent pairs and round(mutation_rate * pop) mutants, applies the
-variant's mechanism, then truncates parents + offspring elitistically back to
+mechanisms that fire, then truncates parents + offspring elitistically back to
 the population size, so the best cost never regresses. When any mechanism
 fires, the elite statistics (dominant chromosome and pattern mask) are computed
 once per generation, from the population before the offspring, and shared by
 all three mechanisms.
 
-Scenario draws consume a dedicated scheduler stream, separate from the
-operator stream; a ``gea`` run whose weights force a single scenario therefore
-replays the corresponding fixed-scenario variant draw for draw.
+Every variant draws its gates from a dedicated scheduler stream, separate from
+the operator stream; a ``gea`` run whose weights force a single scenario
+therefore replays the corresponding fixed variant draw for draw.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ VARIANT_IDS = {name: index for index, name in enumerate(VARIANTS)}
 _PARAM_NAMES = ("variant", "pop_size", "max_iters", "crossover_rate", "mutation_rate",
                 "elite_fraction", "threshold_fraction", "scenario_weights", "seed")
 
-# fixed scenario per variant; 0 = baseline with no engineering hook
-_FIXED_SCENARIO = {"ga": 0, "gea1": 1, "gea2": 2, "gea3": 3}
+# scenario firing probabilities of the fixed variants; gea takes its own
+_VARIANT_WEIGHTS = {"ga": (0.0, 0.0, 0.0), "gea1": (1.0, 0.0, 0.0),
+                    "gea2": (0.0, 1.0, 0.0), "gea3": (0.0, 0.0, 1.0)}
 
 
 def _round_half_up(x: float) -> int:
@@ -67,27 +72,23 @@ class _Params:
 
 
 class _Generation:
-    """Per-population-size caches for the iteration hot path."""
+    """Per-fit caches for the iteration hot path."""
 
-    def __init__(self, params: _Params, domain: GeneDomain, size: int):
-        self.params = params
+    def __init__(self, params: _Params, domain: GeneDomain):
         self.domain = domain
-        self.size = size
+        self.size = size = params.pop_size
         self.cumulative = rank_weight_cumsum(size)
         self.n_cross = _round_half_up(params.crossover_rate * size)
         self.n_mut = _round_half_up(params.mutation_rate * size)
         self.elite_size = max(1, math.ceil(params.elite_fraction * size))
         self.threshold = math.ceil(params.threshold_fraction * self.elite_size)
+        self.weights = np.asarray(_VARIANT_WEIGHTS.get(params.variant,
+                                                       params.scenario_weights))
 
     def step(self, pop: Population, problem, rng: np.random.Generator,
              scheduler_rng: np.random.Generator) -> Population:
-        if self.params.variant == "gea":
-            # independent per-scenario gates; weight w_i = firing probability
-            gates = scheduler_rng.random(3) < np.asarray(self.params.scenario_weights)
-            run1, run2, run3 = (bool(g) for g in gates)
-        else:
-            scenario = _FIXED_SCENARIO[self.params.variant]
-            run1, run2, run3 = scenario == 1, scenario == 2, scenario == 3
+        # independent per-scenario gates; weight w_i = firing probability
+        run1, run2, run3 = (bool(g) for g in scheduler_rng.random(3) < self.weights)
         if run1 or run2 or run3:
             # one elite pass feeds every mechanism; it draws no random numbers
             dc = dominant_chromosome(repetition_matrix(pop.genes[: self.elite_size]))
@@ -204,7 +205,7 @@ class GeaSolver:
         params = self._checked_params()
         rng, scheduler_rng = split_streams(params.seed)
         pop = init_population(problem, params.pop_size, rng)
-        generation = _Generation(params, problem.domain(), params.pop_size)
+        generation = _Generation(params, problem.domain())
 
         trace = np.empty(params.max_iters, dtype=np.float64)
         for i in range(params.max_iters):
@@ -217,17 +218,6 @@ class GeaSolver:
         self.trace_ = trace
         self.n_iters_ = params.max_iters
         return self
-
-    def iterate(self, pop: Population, problem, rng: np.random.Generator,
-                scheduler_rng: np.random.Generator | None = None
-                ) -> tuple[Population, float]:
-        """Run one generation on an external population; returns (pop, best cost)."""
-        params = self._checked_params()
-        generation = _Generation(params, problem.domain(), len(pop))
-        if scheduler_rng is None:
-            scheduler_rng = rng
-        pop = generation.step(pop, problem, rng, scheduler_rng)
-        return pop, pop.best_cost
 
     @property
     def best_individual_(self):

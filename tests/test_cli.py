@@ -65,6 +65,14 @@ class TestOracle:
         out = capsys.readouterr().out.strip()
         assert out == f"{float(out):.4f}"
 
+    def test_non_finite_coordinates_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("NAME x\nVEHICLES 1\nDEPOT 0 0\nCUSTOMER 1 nan 3\n", encoding="utf-8")
+        assert main(["oracle", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "customer 1 (nan, 3.0)" in captured.err
+
     def test_unknown_instance_exit_1(self, capsys):
         assert main(["oracle", "nope-nothing"]) == 1
         assert "nope-nothing" in capsys.readouterr().err

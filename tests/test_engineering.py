@@ -3,11 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gea.engineering import (DominantChromosome, PatternMask, build_mask,
-                             directed_mutation, directed_mutation_batch,
-                             dominant_candidate, dominant_chromosome, gene_injection,
-                             gene_injection_batch, repetition_matrix)
+from gea.engineering import (DominantChromosome, build_mask, directed_mutation_batch,
+                             dominant_candidate, dominant_chromosome, gene_injection_batch,
+                             repetition_matrix)
 from gea.genome import GeneDomain
+from gea.operators import mutate_batch
 from gea.rng import make_rng
 
 
@@ -130,47 +130,46 @@ class TestBuildMask:
                             assert np.array_equal(mask.bits.astype(bool), expected)
 
 
-class _ScriptedRng:
-    """Replays queued integer draws; enough for forcing operator loci."""
-
-    def __init__(self, *integer_batches):
-        self._queue = list(integer_batches)
-
-    def integers(self, low, high, size=None):
-        return np.asarray(self._queue.pop(0))
-
-
 class TestDirectedMutation:
-    def test_binary_flips_only_unmasked_locus(self):
+    def test_binary_flips_only_unmasked_locus(self, scripted_rng):
         dom = GeneDomain.binary(4)
-        mask = PatternMask(np.array([1, 0, 0, 1]), threshold=1)
-        rng = _ScriptedRng([0])  # first free locus, i.e. locus 1
-        out = directed_mutation(dom, np.array([1, 0, 1, 1]), mask, rng)
-        assert out.tolist() == [1, 1, 1, 1]
+        rng = scripted_rng([0])  # first free locus, i.e. locus 1
+        out = directed_mutation_batch(dom, np.array([[1, 0, 1, 1]]), np.array([1, 0, 0, 1]), rng)
+        assert out.tolist() == [[1, 1, 1, 1]]
 
     def test_all_ones_mask_is_identity(self):
         dom = GeneDomain.binary(3)
-        mask = PatternMask(np.array([1, 1, 1]), threshold=1)
-        g = np.array([1, 0, 1])
-        assert directed_mutation(dom, g, mask, make_rng(0)).tolist() == g.tolist()
+        g = np.array([[1, 0, 1]])
+        out = directed_mutation_batch(dom, g, np.array([1, 1, 1]), make_rng(0))
+        assert out.tolist() == g.tolist()
 
-    def test_permutation_forced_swap(self):
+    def test_permutation_forced_swap(self, scripted_rng):
         dom = GeneDomain.permutation(4)
-        mask = PatternMask(np.array([0, 1, 1, 0]), threshold=1)
-        out = directed_mutation(dom, np.array([3, 1, 2, 4]), mask, make_rng(5))
-        assert out.tolist() == [4, 1, 2, 3]
+        # free loci are 0 and 3; the second draw skips the first, so both swap
+        rng = scripted_rng([0], [0])
+        out = directed_mutation_batch(dom, np.array([[3, 1, 2, 4]]), np.array([0, 1, 1, 0]), rng)
+        assert out.tolist() == [[4, 1, 2, 3]]
 
     def test_permutation_single_free_locus_is_identity(self):
         dom = GeneDomain.permutation(3)
-        mask = PatternMask(np.array([1, 0, 1]), threshold=1)
-        g = np.array([2, 3, 1])
-        assert directed_mutation(dom, g, mask, make_rng(0)).tolist() == g.tolist()
+        g = np.array([[2, 3, 1]])
+        out = directed_mutation_batch(dom, g, np.array([1, 0, 1]), make_rng(0))
+        assert out.tolist() == g.tolist()
 
     def test_mask_length_must_match(self):
         dom = GeneDomain.binary(3)
-        with pytest.raises(ValueError):
-            directed_mutation(dom, np.array([0, 1, 0]),
-                              PatternMask(np.array([1, 0]), 1), make_rng(0))
+        with pytest.raises(ValueError, match="mask length"):
+            directed_mutation_batch(dom, np.array([[0, 1, 0]]), np.array([1, 0]), make_rng(0))
+
+    @pytest.mark.parametrize("kind", ["binary", "permutation"])
+    def test_all_zero_mask_matches_mutate_batch(self, kind):
+        # one mutation kernel: an open mask leaves every locus to draw from
+        dom = GeneDomain.binary(8) if kind == "binary" else GeneDomain.permutation(6, 2)
+        genomes = dom.sample_batch(make_rng(4), 200)
+        directed = directed_mutation_batch(dom, genomes, np.zeros(dom.length, dtype=np.int64),
+                                           make_rng(8))
+        assert np.array_equal(directed, mutate_batch(dom, genomes, make_rng(8)))
+        assert (directed != genomes).any()
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_masked_loci_never_change(self, kind):
@@ -189,24 +188,32 @@ class TestDirectedMutation:
 class TestGeneInjection:
     def test_binary_pointwise(self):
         dom = GeneDomain.binary(4)
-        dc = DominantChromosome(np.array([1, 1, 0, 1]), np.array([3, 3, 3, 3]))
-        mask = PatternMask(np.array([1, 0, 0, 1]), threshold=1)
-        out = gene_injection(dom, np.array([0, 0, 0, 0]), mask, dc)
-        assert out.tolist() == [1, 0, 0, 1]
+        out = gene_injection_batch(dom, np.array([[0, 0, 0, 0]]), np.array([1, 0, 0, 1]),
+                                   np.array([1, 1, 0, 1]))
+        assert out.tolist() == [[1, 0, 0, 1]]
 
     def test_zero_mask_is_identity(self):
         dom = GeneDomain.binary(3)
-        dc = DominantChromosome(np.array([1, 1, 1]), np.array([2, 2, 2]))
-        mask = PatternMask(np.array([0, 0, 0]), threshold=1)
-        g = np.array([0, 1, 0])
-        assert gene_injection(dom, g, mask, dc).tolist() == g.tolist()
+        g = np.array([[0, 1, 0]])
+        out = gene_injection_batch(dom, g, np.array([0, 0, 0]), np.array([1, 1, 1]))
+        assert out.tolist() == g.tolist()
 
     def test_permutation_repair_example(self):
         dom = GeneDomain.permutation(4)
-        dc = DominantChromosome(np.array([1, 3, 2, 4]), np.array([3, 3, 3, 3]))
-        mask = PatternMask(np.array([1, 0, 0, 0]), threshold=1)
-        out = gene_injection(dom, np.array([2, 3, 1, 4]), mask, dc)
-        assert out.tolist() == [1, 2, 3, 4]
+        # locus 0 takes dominant symbol 1; 2, 3, 4 refill the rest in row order
+        out = gene_injection_batch(dom, np.array([[2, 3, 1, 4]]), np.array([1, 0, 0, 0]),
+                                   np.array([1, 3, 2, 4]))
+        assert out.tolist() == [[1, 2, 3, 4]]
+
+    @pytest.mark.parametrize("kind", ["binary", "permutation"])
+    def test_lengths_must_match(self, kind):
+        dom = GeneDomain.binary(4) if kind == "binary" else GeneDomain.permutation(4)
+        genomes = dom.sample_batch(make_rng(0), 2)
+        dc_genes = dom.sample(make_rng(1))
+        with pytest.raises(ValueError, match="genome length"):
+            gene_injection_batch(dom, genomes, np.array([1, 0]), dc_genes)
+        with pytest.raises(ValueError, match="genome length"):
+            gene_injection_batch(dom, genomes, np.ones(4, dtype=np.int64), dc_genes[:3])
 
     def test_injection_postconditions_randomized(self):
         rng = make_rng(77)

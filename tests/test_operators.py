@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from gea.genome import GeneDomain
-from gea.operators import (crossover, crossover_batch, flip_mutation, mutate,
-                           mutate_batch, order_crossover, single_point_crossover,
-                           swap_mutation)
+from gea.operators import crossover_batch, mutate_batch
 from gea.rng import make_rng
 
 BIN4 = GeneDomain.binary(4)
@@ -12,32 +10,33 @@ PERM5 = GeneDomain.permutation(5)
 
 
 class TestSinglePoint:
-    def test_cut_at_two(self):
-        c1, c2 = single_point_crossover(np.array([0, 0, 0, 0]), np.array([1, 1, 1, 1]), 2)
-        assert c1.tolist() == [0, 0, 1, 1]
-        assert c2.tolist() == [1, 1, 0, 0]
+    def test_cut_at_two(self, scripted_rng):
+        c1, c2 = crossover_batch(BIN4, np.array([[0, 0, 0, 0]]), np.array([[1, 1, 1, 1]]),
+                                 scripted_rng([2]))
+        assert c1.tolist() == [[0, 0, 1, 1]]
+        assert c2.tolist() == [[1, 1, 0, 0]]
 
-    def test_identical_parents_yield_identical_children(self):
-        g = np.array([1, 0, 1, 1])
-        for cut in (1, 2, 3):
-            c1, c2 = single_point_crossover(g, g, cut)
-            assert np.array_equal(c1, g) and np.array_equal(c2, g)
+    def test_identical_parents_yield_identical_children(self, scripted_rng):
+        g = np.tile([1, 0, 1, 1], (3, 1))
+        c1, c2 = crossover_batch(BIN4, g, g, scripted_rng([1, 2, 3]))
+        assert np.array_equal(c1, g) and np.array_equal(c2, g)
 
 
 class TestOrderCrossover:
-    def test_hand_traced_example(self):
-        p1 = np.array([1, 2, 3, 4, 5])
-        p2 = np.array([5, 4, 3, 2, 1])
-        c1, c2 = order_crossover(p1, p2, 2, 3)
+    def test_hand_traced_example(self, scripted_rng):
+        p1 = np.array([[1, 2, 3, 4, 5]])
+        p2 = np.array([[5, 4, 3, 2, 1]])
+        # segment ends drawn as 3 then 2: the segment is loci 2..3 either way
+        c1, c2 = crossover_batch(PERM5, p1, p2, scripted_rng([3], [2]))
         # child keeps (.,.,3,4,.) and takes 5,2,1 in p2 order
-        assert c1.tolist() == [5, 2, 3, 4, 1]
-        assert c2.tolist() == [1, 4, 3, 2, 5]
+        assert c1.tolist() == [[5, 2, 3, 4, 1]]
+        assert c2.tolist() == [[1, 4, 3, 2, 5]]
 
-    def test_identical_parents_identity(self):
-        g = np.array([3, 1, 4, 2, 5])
-        for lo, hi in ((0, 0), (1, 3), (0, 4), (4, 4)):
-            c1, c2 = order_crossover(g, g, lo, hi)
-            assert np.array_equal(c1, g) and np.array_equal(c2, g)
+    def test_identical_parents_identity(self, scripted_rng):
+        g = np.tile([3, 1, 4, 2, 5], (4, 1))
+        # segments (0, 0), (1, 3), (0, 4) and (4, 4), one per row
+        c1, c2 = crossover_batch(PERM5, g, g, scripted_rng([0, 1, 0, 4], [0, 3, 4, 4]))
+        assert np.array_equal(c1, g) and np.array_equal(c2, g)
 
     def test_closure_over_random_cases(self):
         # permutation invariant must survive 10^4 randomized crossovers
@@ -65,11 +64,12 @@ class TestOrderCrossover:
 
 
 class TestCrossoverWrapper:
-    def test_scalar_wrapper_valid_children(self):
+    def test_single_pair_valid_children(self):
         rng = make_rng(0)
-        p1, p2 = PERM5.sample(rng), PERM5.sample(rng)
-        c1, c2 = crossover(PERM5, p1, p2, rng)
-        assert PERM5.contains(c1) and PERM5.contains(c2)
+        p1, p2 = PERM5.sample_batch(rng, 1), PERM5.sample_batch(rng, 1)
+        c1, c2 = crossover_batch(PERM5, p1, p2, rng)
+        assert c1.shape == c2.shape == (1, 5)
+        assert PERM5.contains(c1[0]) and PERM5.contains(c2[0])
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -81,26 +81,29 @@ class TestCrossoverWrapper:
 
     def test_length_one_binary_children_copy_parents(self):
         dom = GeneDomain.binary(1)
-        c1, c2 = crossover(dom, np.array([0]), np.array([1]), make_rng(0))
-        assert c1.tolist() == [0] and c2.tolist() == [1]
+        c1, c2 = crossover_batch(dom, np.array([[0]]), np.array([[1]]), make_rng(0))
+        assert c1.tolist() == [[0]] and c2.tolist() == [[1]]
 
     def test_determinism(self):
-        rng1, rng2 = make_rng(9), make_rng(9)
-        p1, p2 = PERM5.sample(make_rng(1)), PERM5.sample(make_rng(2))
-        assert np.array_equal(crossover(PERM5, p1, p2, rng1)[0],
-                              crossover(PERM5, p1, p2, rng2)[0])
+        p1, p2 = PERM5.sample_batch(make_rng(1), 3), PERM5.sample_batch(make_rng(2), 3)
+        assert np.array_equal(crossover_batch(PERM5, p1, p2, make_rng(9))[0],
+                              crossover_batch(PERM5, p1, p2, make_rng(9))[0])
 
 
 class TestMutation:
-    def test_flip_example(self):
-        assert flip_mutation(np.array([1, 0, 1]), 1).tolist() == [1, 1, 1]
+    def test_flip_example(self, scripted_rng):
+        out = mutate_batch(GeneDomain.binary(3), np.array([[1, 0, 1]]), scripted_rng([1]))
+        assert out.tolist() == [[1, 1, 1]]
 
-    def test_swap_example(self):
-        assert swap_mutation(np.array([1, 2, 3]), 0, 2).tolist() == [3, 2, 1]
+    def test_swap_example(self, scripted_rng):
+        # the second locus is drawn from the other two: draw 1 >= 0 is locus 2
+        out = mutate_batch(GeneDomain.permutation(3), np.array([[1, 2, 3]]),
+                           scripted_rng([0], [1]))
+        assert out.tolist() == [[3, 2, 1]]
 
     def test_length_one_binary_flips_the_only_gene(self):
         dom = GeneDomain.binary(1)
-        assert mutate(dom, np.array([0]), make_rng(0)).tolist() == [1]
+        assert mutate_batch(dom, np.array([[0]]), make_rng(0)).tolist() == [[1]]
 
     def test_binary_mutant_differs_in_exactly_one_locus(self):
         rng = make_rng(21)
@@ -119,5 +122,5 @@ class TestMutation:
 
     def test_determinism(self):
         dom = GeneDomain.permutation(5)
-        g = dom.sample(make_rng(3))
-        assert np.array_equal(mutate(dom, g, make_rng(7)), mutate(dom, g, make_rng(7)))
+        g = dom.sample_batch(make_rng(3), 4)
+        assert np.array_equal(mutate_batch(dom, g, make_rng(7)), mutate_batch(dom, g, make_rng(7)))

@@ -3,7 +3,7 @@ import pytest
 
 from gea.genome import GeneDomain
 from gea.population import (Individual, Population, init_population,
-                            roulette_indices, roulette_select, row_keys)
+                            roulette_indices, row_keys)
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng
 
@@ -26,8 +26,8 @@ def reference_survivors(pop, offspring_genes, offspring_costs):
         key = tuple(genes[i].tolist())
         (duplicates if key in seen else firsts).append(rank)
         seen.add(key)
-    kept = firsts[: pop.capacity]
-    kept = sorted(kept + duplicates[: pop.capacity - len(kept)])
+    kept = firsts[: len(pop)]
+    kept = sorted(kept + duplicates[: len(pop) - len(kept)])
     rows = [order[rank] for rank in kept]
     return genes[rows], costs[rows]
 
@@ -86,15 +86,14 @@ class TestRoulette:
             sigma = np.sqrt(draws * p * (1 - p))
             assert abs(count - draws * p) <= 3 * sigma
 
-    def test_singleton_population(self):
-        pop = pop_from_costs([4.0])
-        assert roulette_select(pop, make_rng(0)) == 0
+    def test_singleton_population(self, scripted_rng):
+        # the lone member takes the whole wheel, whatever the point drawn
+        idx = roulette_indices(1, 3, scripted_rng([0.0, 0.5, 0.999999]))
+        assert idx.tolist() == [0, 0, 0]
 
     def test_deterministic(self):
-        pop = pop_from_costs([1.0, 2.0, 3.0, 4.0])
-        seq1 = [roulette_select(pop, make_rng(5)) for _ in range(1)]
-        seq2 = [roulette_select(pop, make_rng(5)) for _ in range(1)]
-        assert seq1 == seq2
+        assert np.array_equal(roulette_indices(4, 10, make_rng(5)),
+                              roulette_indices(4, 10, make_rng(5)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +105,7 @@ class TestSurvivorSelect:
         parents = pop_from_costs([1.0, 5.0])
         out = parents.select_survivors(np.array([[100, 101, 102]]), np.array([3.0]))
         assert out.costs.tolist() == [1.0, 3.0]
-        assert len(out) == parents.capacity == 2
+        assert len(out) == len(parents) == 2
 
     def test_empty_offspring_is_identity(self):
         parents = pop_from_costs([1.0, 5.0])

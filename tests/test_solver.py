@@ -5,7 +5,7 @@ import gea.solver
 from gea.population import Population, init_population
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
-from gea.solver import VARIANTS, GeaSolver
+from gea.solver import VARIANTS, GeaSolver, _Generation
 from gea.validation import NotFittedError
 
 
@@ -144,24 +144,15 @@ class TestElitePass:
             assert len(calls) == expected_per_generation * generations
 
 
-class TestIterate:
-    def test_returns_population_and_best(self):
-        problem = OneMax(8)
-        solver = GeaSolver(pop_size=10, max_iters=5, seed=0)
-        rng, sched = split_streams(0)
-        pop = init_population(problem, 10, rng)
-        out, best = solver.iterate(pop, problem, rng, sched)
-        assert isinstance(out, Population)
-        assert best == out.best_cost <= pop.best_cost
-
+class TestStep:
     def test_directed_mutants_of_identical_elite_change_nothing(self):
         # fully agreed elite -> all-ones mask -> directed mutation is identity
         problem = OneMax(6)
         genes = np.tile(np.array([1, 0, 1, 0, 1, 0]), (10, 1))
         pop = Population(genes, problem.evaluate_batch(genes))
-        solver = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
-                           mutation_rate=0.5, seed=6)
-        out, best = solver.iterate(pop, problem, make_rng(1), make_rng(2))
-        assert best == pop.best_cost
+        params = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
+                           mutation_rate=0.5, seed=6)._checked_params()
+        out = _Generation(params, problem.domain()).step(pop, problem, make_rng(1), make_rng(2))
+        assert out.best_cost == pop.best_cost
         assert np.array_equal(np.unique(out.genes, axis=0),
                               np.unique(genes, axis=0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,10 @@ class TestInstanceFiles:
         (lambda t: t.replace("VEHICLES 2", "VEHICLES 7"), "vehicles"),
         (lambda t: t + "JUNK 1 2\n", "malformed"),
         (lambda t: t.replace("DEPOT 50.0 50.0", "DEPOT 50.0"), "malformed"),
+        (lambda t: re.sub(r"CUSTOMER 1 \S+", "CUSTOMER 1 nan", t),
+         r"finite, got customer 1 \(nan, "),
+        (lambda t: t.replace("DEPOT 50.0 50.0", "DEPOT 50.0 -inf"),
+         r"finite, got depot \(50\.0, -inf\)"),
     ])
     def test_rejections(self, mutation, message):
         text = format_instance(generate_instance(3, 2, 5, name="tiny"))
