@@ -10,23 +10,22 @@ from .engineering import (DominantChromosome, PatternMask, RepetitionMatrix,
 from .genome import DomainKind, GeneDomain
 from .harness import (BatchResult, Benchmark, IntervalRow, StatsRow, compute_stats,
                       confidence_interval, full_benchmark, interval_data, run_batch)
-from .population import Individual, Population, init_population
+from .population import Population, init_population
 from .problems import (Knapsack, KnapsackInstance, OneMax, Problem, VehicleRouting,
                        VrpInstance, generate_instance, generate_knapsack_instance,
                        knapsack_dp_optimum, load_instance, standard_suite,
                        vrp_brute_force, vrp_decode, write_instance)
 from .rng import derive_run_seed, make_rng, split_streams
 from .solver import VARIANTS, GeaSolver
-from .validation import NotFittedError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainKind", "GeneDomain", "Individual", "Population",
+    "DomainKind", "GeneDomain", "Population",
     "init_population",
     "RepetitionMatrix", "DominantChromosome", "PatternMask",
     "repetition_matrix", "dominant_chromosome", "build_mask",
-    "GeaSolver", "VARIANTS", "NotFittedError",
+    "GeaSolver", "VARIANTS",
     "Problem", "OneMax", "Knapsack", "KnapsackInstance", "VehicleRouting",
     "VrpInstance", "generate_instance", "generate_knapsack_instance",
     "knapsack_dp_optimum", "load_instance", "standard_suite", "vrp_brute_force",

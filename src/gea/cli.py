@@ -303,23 +303,11 @@ def cmd_gen_instance(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    token = args.instance
-    if token.startswith("knapsack:"):
-        problem = resolve_problem(token)
-        print(f"{knapsack_dp_optimum(problem.instance):.4f}")
-        return 0
-    if token in _SUITE:
-        n, k, seed = _SUITE[token]
-        instance = generate_instance(n, k, seed, name=token)
+    problem = resolve_problem(args.instance)
+    if isinstance(problem, Knapsack):
+        cost = knapsack_dp_optimum(problem.instance)
     else:
-        path = Path(token)
-        if not path.exists():
-            raise UsageError(f"unknown instance {token!r}: not a suite name and no such file")
-        instance = load_instance(path)
-    try:
-        cost, _ = vrp_brute_force(instance)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+        cost, _ = vrp_brute_force(problem.instance)
     print(f"{cost:.4f}")
     return 0
 
@@ -329,14 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (ValueError, OSError) as err:  # UsageError included
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        raise
     except Exception as err:  # noqa: BLE001 - exit-code contract
         print(f"internal error: {err}", file=sys.stderr)
         return 2

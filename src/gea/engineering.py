@@ -55,7 +55,6 @@ class PatternMask:
 
 def repetition_matrix(elite: np.ndarray) -> RepetitionMatrix:
     """Count symbol occurrences per locus over the elite rows."""
-    elite = np.asarray(elite, dtype=np.int64)
     if elite.ndim != 2 or elite.shape[0] == 0:
         raise ValueError("elite must be a non-empty (M, L) genome matrix")
     length = elite.shape[1]
@@ -150,5 +149,5 @@ def dominant_candidate(domain: GeneDomain, dc: DominantChromosome,
     valid permutation, the gene-injection repair completes it from `template`."""
     if domain.kind is DomainKind.BINARY or np.unique(dc.genes).size == dc.genes.size:
         return dc.genes.copy()
-    return gene_injection_batch(domain, np.asarray(template, dtype=np.int64)[None, :],
-                                np.ones_like(dc.genes), dc.genes)[0]
+    return gene_injection_batch(domain, template[None, :], np.ones_like(dc.genes),
+                                dc.genes)[0]

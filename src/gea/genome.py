@@ -4,6 +4,11 @@ Two encodings are supported. Binary genomes hold independent 0/1 genes.
 Permutation genomes encode routing-style solutions: symbols 1..n_items must
 each appear exactly once, and any extra symbols n_items+1..length act as
 route separators that are permuted along with the items.
+
+A genome is a row of an (n, L) gene matrix, the only genome representation.
+Every matrix of a domain is stored in its `GeneDomain.dtype`, the narrowest
+unsigned type that holds every symbol: one byte per locus for binary genomes
+and for up to 255 permutation symbols, two bytes up to 65,535.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ class GeneDomain:
         return 2 if self.kind is DomainKind.BINARY else self.length + 1
 
     @property
+    def dtype(self) -> np.dtype:
+        """Storage type of every gene matrix in this domain."""
+        return np.min_scalar_type(self.n_symbols - 1)
+
+    @property
     def n_separators(self) -> int:
         if self.kind is DomainKind.BINARY:
             return 0
@@ -71,13 +81,14 @@ class GeneDomain:
         return bool(np.array_equal(np.sort(genes), self.alphabet))
 
     def validate(self, genes) -> Genome:
-        """Coerce to an int array and raise ValueError on any domain violation."""
-        arr = np.asarray(genes, dtype=np.int64)
+        """Return the genome in `dtype`; raise ValueError on any domain
+        violation, a non-integer gene included."""
+        arr = np.asarray(genes)
         if arr.shape != (self.length,):
             raise ValueError(f"genome shape {arr.shape} does not match length {self.length}")
         if not self.contains(arr):
             raise ValueError(f"genome {arr.tolist()} is not a member of {self.kind.value} domain")
-        return arr
+        return arr.astype(self.dtype)
 
     def sample(self, rng: np.random.Generator) -> Genome:
         return self.sample_batch(rng, 1)[0]
@@ -85,7 +96,9 @@ class GeneDomain:
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Uniform genomes: fair independent bits, or unbiased per-row shuffles."""
         if self.kind is DomainKind.BINARY:
-            return rng.integers(0, 2, size=(size, self.length), dtype=np.int64)
-        base = np.tile(np.arange(1, self.length + 1, dtype=np.int64), (size, 1))
+            # drawn as int64: a uint8 draw would consume a different stream
+            bits = rng.integers(0, 2, size=(size, self.length), dtype=np.int64)
+            return bits.astype(self.dtype)
+        base = np.tile(np.arange(1, self.length + 1, dtype=self.dtype), (size, 1))
         rng.permuted(base, axis=1, out=base)
         return base

@@ -174,6 +174,12 @@ def full_benchmark(problems: Sequence, variants: Sequence[str] = VARIANTS,
                    runs: int = 10, base_seed: int = 0, **solver_params) -> Benchmark:
     if not problems or not variants:
         raise ValueError("need at least one problem and one variant")
+    # a report cell is keyed by (variant, instance name), so both must be unique
+    for label, keys in (("instance names", [p.name for p in problems]),
+                        ("variants", list(variants))):
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            raise ValueError(f"duplicate {label}: {', '.join(repeated)}")
     results = tuple(
         run_batch(problem, variant=variant, runs=runs, base_seed=base_seed,
                   **solver_params)

@@ -1,32 +1,22 @@
-"""Evaluated individuals, cost-sorted populations, and selection primitives."""
+"""Cost-sorted populations and selection primitives."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
-
-from .genome import Genome
-
-
-@dataclass(frozen=True)
-class Individual:
-    genes: Genome
-    cost: float
 
 
 class Population:
     """Fixed-size pool of evaluated genomes, kept sorted by ascending cost.
 
-    Backed by a (size, L) gene matrix plus a cost vector so whole-cohort
-    operations stay vectorized; `members()` materializes Individuals on demand.
+    A (size, L) gene matrix, kept in the dtype it is given (the domain's
+    `GeneDomain.dtype` in a fit), plus a cost vector; row i is the i-th best
+    genome.
     """
 
     __slots__ = ("genes", "costs")
 
     def __init__(self, genes: np.ndarray, costs: np.ndarray, presorted: bool = False):
-        genes = np.asarray(genes, dtype=np.int64)
+        genes = np.asarray(genes)
         costs = np.asarray(costs, dtype=np.float64)
         if genes.ndim != 2 or genes.shape[0] != costs.shape[0]:
             raise ValueError("genes must be (size, L) aligned with costs")
@@ -42,19 +32,6 @@ class Population:
 
     def __len__(self) -> int:
         return self.genes.shape[0]
-
-    def __getitem__(self, i: int) -> Individual:
-        return Individual(self.genes[i].copy(), float(self.costs[i]))
-
-    def __iter__(self) -> Iterator[Individual]:
-        return (self[i] for i in range(len(self)))
-
-    def members(self) -> list[Individual]:
-        return list(self)
-
-    @property
-    def best(self) -> Individual:
-        return self[0]
 
     @property
     def best_cost(self) -> float:
@@ -95,16 +72,12 @@ class Population:
 def row_keys(genes: np.ndarray) -> np.ndarray:
     """One opaque byte key per row; two keys are equal iff their rows are.
 
-    The key is the narrowest exact encoding of the rows, read off the genes:
-    packed bits when every gene is 0 or 1, the smallest unsigned integer type
-    holding the largest gene when none is negative, int64 bytes otherwise.
+    The key is the bytes the row is stored in (one per locus for a uint8
+    matrix), or its packed bits when a uint8 matrix holds only 0 and 1.
     Sorting short keys is what makes `np.unique` cheaper than on raw rows.
     """
-    if genes.min() >= 0:
-        top = int(genes.max())
-        # packbits reads int64 input several times slower than uint8
-        genes = (np.packbits(genes.astype(np.uint8), axis=1) if top <= 1
-                 else genes.astype(np.min_scalar_type(top)))
+    if genes.dtype == np.uint8 and genes.max() <= 1:
+        genes = np.packbits(genes, axis=1)
     genes = np.ascontiguousarray(genes)
     return genes.view(np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
 

@@ -1,4 +1,4 @@
-"""Problem contract: a gene domain plus a pure minimization objective."""
+"""Problem contract: a gene domain plus a pure, vectorized minimization objective."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ from ..genome import GeneDomain, Genome
 class Problem(ABC):
     """Minimization problem over a discrete genome domain.
 
-    `evaluate` must be pure, deterministic, and total over all valid genomes.
+    `evaluate_batch` is the objective: the cost of every row of an (m, L)
+    gene matrix of valid genomes. It must be pure, deterministic and total
+    over the domain. `evaluate` is the same objective on one validated genome.
     """
 
     name: str = "problem"
@@ -22,9 +24,10 @@ class Problem(ABC):
         ...
 
     @abstractmethod
-    def evaluate(self, genes: Genome) -> float:
+    def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
         ...
 
-    def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
-        """Vectorized cost of a (m, L) cohort; overridden by fast subclasses."""
-        return np.array([self.evaluate(g) for g in genomes], dtype=np.float64)
+    def evaluate(self, genes: Genome) -> float:
+        """Cost of one genome; ValueError when it is not in the domain."""
+        genes = self.domain().validate(genes)
+        return float(self.evaluate_batch(genes[None, :])[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome import GeneDomain, Genome
+from ..genome import GeneDomain
 from ..rng import make_rng
 from .base import Problem
 
@@ -31,6 +31,12 @@ class KnapsackInstance:
             raise ValueError("weights and values must have equal length")
         if not self.weights:
             raise ValueError("instance needs at least one item")
+        for label, numbers in (("weights", self.weights), ("values", self.values)):
+            bad = [f"{x} at index {i}" for i, x in enumerate(numbers) if not math.isfinite(x)]
+            if bad:
+                raise ValueError(f"{label} must be finite, got {', '.join(bad)}")
+        if not math.isfinite(self.capacity):
+            raise ValueError(f"capacity must be finite, got {self.capacity}")
         if min(self.weights) <= 0 or min(self.values) <= 0:
             raise ValueError("weights and values must be positive")
         if self.capacity <= 0:
@@ -52,10 +58,6 @@ class Knapsack(Problem):
 
     def domain(self) -> GeneDomain:
         return self._domain
-
-    def evaluate(self, genes: Genome) -> float:
-        genes = self._domain.validate(genes)
-        return float(self.evaluate_batch(genes[None, :])[0])
 
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
         weight = genomes @ self._weights

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..genome import GeneDomain, Genome
+from ..genome import GeneDomain
 from .base import Problem
 
 
@@ -18,10 +18,6 @@ class OneMax(Problem):
 
     def domain(self) -> GeneDomain:
         return self._domain
-
-    def evaluate(self, genes: Genome) -> float:
-        genes = self._domain.validate(genes)
-        return float(self.length - genes.sum())
 
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
         return (self.length - genomes.sum(axis=1)).astype(np.float64)

@@ -78,10 +78,6 @@ class VehicleRouting(Problem):
     def domain(self) -> GeneDomain:
         return self._domain
 
-    def evaluate(self, genes: Genome) -> float:
-        genes = self._domain.validate(genes)
-        return float(self.evaluate_batch(genes[None, :])[0])
-
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
         nodes = self._node_of[genomes]
         depot = np.zeros((genomes.shape[0], 1), dtype=np.int64)
@@ -160,10 +156,11 @@ def vrp_brute_force(instance: VrpInstance) -> tuple[float, Genome]:
             if cost < best_cost:
                 best_cost = cost
                 best_order, best_gaps = order, gaps
-    return best_cost, _genome_from_split(n, best_order, best_gaps)
+    genes = _genome_from_split(n, best_order, best_gaps)
+    return best_cost, GeneDomain.permutation(n, k - 1).validate(genes)
 
 
-def _genome_from_split(n: int, order: tuple[int, ...], gaps: tuple[int, ...]) -> Genome:
+def _genome_from_split(n: int, order: tuple[int, ...], gaps: tuple[int, ...]) -> list[int]:
     genes: list[int] = []
     position = 0
     for sep_index, gap in enumerate(gaps):
@@ -171,7 +168,7 @@ def _genome_from_split(n: int, order: tuple[int, ...], gaps: tuple[int, ...]) ->
         genes.append(n + 1 + sep_index)
         position = gap
     genes.extend(order[position:])
-    return np.array(genes, dtype=np.int64)
+    return genes
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ from .genome import GeneDomain
 from .operators import crossover_batch, mutate_batch
 from .population import Population, init_population, rank_weight_cumsum, roulette_indices
 from .rng import split_streams
-from .validation import (check_fraction, check_int, check_is_fitted,
-                         check_weights)
+from .validation import check_fraction, check_int, check_weights
 
 VARIANTS = ("ga", "gea1", "gea2", "gea3", "gea")
 VARIANT_IDS = {name: index for index, name in enumerate(VARIANTS)}
@@ -100,7 +99,7 @@ class _Generation:
             parent_idx = roulette_indices(self.size, 2 * n_pairs, rng, self.cumulative)
             first, second = crossover_batch(self.domain, pop.genes[parent_idx[0::2]],
                                             pop.genes[parent_idx[1::2]], rng)
-            children = np.empty((2 * n_pairs, self.domain.length), dtype=np.int64)
+            children = np.empty((2 * n_pairs, self.domain.length), dtype=first.dtype)
             children[0::2], children[1::2] = first, second
             parts.append(children[: self.n_cross])
 
@@ -218,8 +217,3 @@ class GeaSolver:
         self.trace_ = trace
         self.n_iters_ = params.max_iters
         return self
-
-    @property
-    def best_individual_(self):
-        check_is_fitted(self)
-        return self.population_.best

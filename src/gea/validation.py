@@ -8,17 +8,6 @@ from typing import Sequence
 import numpy as np
 
 
-class NotFittedError(ValueError):
-    """Raised when fitted attributes are requested before fit()."""
-
-
-def check_is_fitted(estimator, attribute: str = "best_cost_") -> None:
-    if not hasattr(estimator, attribute):
-        raise NotFittedError(
-            f"{type(estimator).__name__} is not fitted yet; call fit(problem) first"
-        )
-
-
 def check_int(name: str, value, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -179,6 +179,20 @@ class TestBench:
         assert not (out / "results.csv").exists()
         assert not list(out.glob("*.svg"))
 
+    def test_files_with_one_name_exit_1(self, tmp_path, capsys):
+        # both files say NAME same; their cells would shadow each other
+        paths = []
+        for seed in (1, 2):
+            path = tmp_path / f"{seed}.txt"
+            path.write_text(format_instance(generate_instance(5, 2, seed, name="same")),
+                            encoding="utf-8")
+            paths.append(str(path))
+        out = tmp_path / "out"
+        assert main(["bench", "--variants", "ga", "--instances", ",".join(paths),
+                     "--runs", "1", "--iters", "2", "--pop", "6", "--out", str(out)]) == 1
+        assert "duplicate instance names: same" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_format_rejected(self, capsys):
         assert main(["bench", "--formats", "pdf"]) == 1
         assert "pdf" in capsys.readouterr().err

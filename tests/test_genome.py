@@ -38,11 +38,26 @@ class TestGeneDomain:
         assert perm.contains(np.array([4, 2, 1, 3]))
         assert not perm.contains(np.array([1, 1, 2, 3]))
 
+    @pytest.mark.parametrize("domain,dtype", [
+        (GeneDomain.binary(300), np.uint8),
+        (GeneDomain.permutation(255), np.uint8),
+        (GeneDomain.permutation(250, separators=5), np.uint8),
+        (GeneDomain.permutation(256), np.uint16),
+    ])
+    def test_dtype_holds_every_symbol(self, domain, dtype):
+        assert domain.dtype == dtype
+        batch = domain.sample_batch(make_rng(0), 3)
+        assert batch.dtype == dtype
+        assert domain.validate(batch[0].astype(np.int64)).dtype == dtype
+
     def test_validate_raises_with_message(self):
         with pytest.raises(ValueError, match="binary"):
             GeneDomain.binary(3).validate([0, 1, 7])
         with pytest.raises(ValueError, match="shape"):
             GeneDomain.binary(3).validate([0, 1])
+        # a non-integer gene is rejected, not truncated
+        with pytest.raises(ValueError, match="permutation"):
+            GeneDomain.permutation(3).validate([3.0, 1.0, 2.5])
 
 
 class TestSampling:

@@ -168,6 +168,14 @@ class TestFullBenchmark:
         with pytest.raises(ValueError):
             full_benchmark([OneMax(4)], variants=())
 
+    def test_duplicate_cells_rejected_by_name(self):
+        # two instances sharing a name would share one report cell
+        twins = [VehicleRouting(generate_instance(5, 2, seed, name="same")) for seed in (1, 2)]
+        with pytest.raises(ValueError, match="duplicate instance names: same"):
+            full_benchmark(twins, variants=("ga",), runs=1, max_iters=2)
+        with pytest.raises(ValueError, match="duplicate variants: gea"):
+            full_benchmark([OneMax(4)], variants=("gea", "ga", "gea"), runs=1, max_iters=2)
+
     def test_smoke_suite_is_fast(self):
         import time
         problem = VehicleRouting(generate_instance(8, 3, 1, name="f1"))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gea.genome import GeneDomain
-from gea.population import (Individual, Population, init_population,
-                            roulette_indices, row_keys)
+from gea.population import Population, init_population, roulette_indices, row_keys
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng
 
@@ -44,13 +43,6 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population(np.zeros((1, 3), int), np.array([np.inf]))
 
-    def test_member_access(self):
-        pop = pop_from_costs([2.0, 1.0])
-        member = pop[0]
-        assert isinstance(member, Individual)
-        assert member.cost == 1.0
-        assert len(pop.members()) == 2
-
 
 class TestInitPopulation:
     def test_binary_population_sorted_and_valid(self):
@@ -62,8 +54,8 @@ class TestInitPopulation:
     def test_permutation_population_has_distinct_symbols(self):
         from gea.problems import VehicleRouting, generate_instance
         pop = init_population(VehicleRouting(generate_instance(4, 2, 1)), 3, make_rng(1))
-        for member in pop:
-            assert sorted(member.genes.tolist()) == [1, 2, 3, 4, 5]
+        for genes in pop.genes:
+            assert sorted(genes.tolist()) == [1, 2, 3, 4, 5]
 
     def test_rejects_size_below_two(self):
         with pytest.raises(ValueError, match="size"):

@@ -16,8 +16,10 @@ class TestOneMax:
         assert OneMax(len(genes)).evaluate(np.array(genes)) == cost
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            OneMax(3).evaluate(np.array([0, 2, 1]))
+        # non-integer genes are rejected, not truncated
+        for genes in ([0, 2, 1], [1, 1, 1.7], [0.5, 1.9, 1.0]):
+            with pytest.raises(ValueError):
+                OneMax(3).evaluate(np.array(genes))
 
     def test_batch_matches_scalar(self):
         problem = OneMax(7)
@@ -61,6 +63,15 @@ class TestKnapsackEvaluate:
             KnapsackInstance((0.0,), (1.0,), 3.0)
         with pytest.raises(ValueError):
             KnapsackInstance((1.0,), (1.0,), 0.0)
+        # NaN passes every `<= 0` check; named by field
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            KnapsackInstance((3.0, 4.0), (5.0, 6.0), float("nan"))
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            KnapsackInstance((3.0, 4.0), (5.0, 6.0), float("inf"))
+        with pytest.raises(ValueError, match="weights must be finite, got nan at index 1"):
+            KnapsackInstance((3.0, float("nan")), (5.0, 6.0), 5.0)
+        with pytest.raises(ValueError, match="values must be finite"):
+            KnapsackInstance((3.0, 4.0), (float("-inf"), 6.0), 5.0)
 
 
 class TestKnapsackDp:

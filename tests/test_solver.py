@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import gea.solver
-from gea.population import Population, init_population
+from gea.population import Population, init_population, row_keys
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
 from gea.solver import VARIANTS, GeaSolver, _Generation
-from gea.validation import NotFittedError
 
 
 class TestEstimatorProtocol:
@@ -35,10 +34,6 @@ class TestEstimatorProtocol:
         solver = GeaSolver(pop_size=17, seed=9)
         clone = GeaSolver(**solver.get_params())
         assert clone.get_params() == solver.get_params()
-
-    def test_not_fitted_error(self):
-        with pytest.raises(NotFittedError):
-            GeaSolver().best_individual_
 
 
 class TestFitValidation:
@@ -105,7 +100,23 @@ class TestFit:
         problem = VehicleRouting(generate_instance(5, 2, 8))
         solver = GeaSolver(pop_size=15, max_iters=40, seed=2).fit(problem)
         assert problem.evaluate(solver.best_genes_) == pytest.approx(solver.best_cost_)
-        assert solver.best_individual_.cost == solver.best_cost_
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_genes_stay_in_domain_dtype(self, variant):
+        for problem in (OneMax(12), VehicleRouting(generate_instance(7, 2, 2))):
+            solver = GeaSolver(variant=variant, pop_size=12, max_iters=15, seed=4).fit(problem)
+            assert solver.population_.genes.dtype == problem.domain().dtype
+            assert solver.best_genes_.dtype == problem.domain().dtype
+
+    def test_two_byte_genes_above_255_symbols(self):
+        problem = VehicleRouting(generate_instance(260, 4, 1))
+        length = problem.domain().length
+        solver = GeaSolver(pop_size=20, max_iters=5, seed=1).fit(problem)
+        genes = solver.population_.genes
+        assert genes.dtype == np.uint16
+        assert (np.sort(genes, axis=1) == np.arange(1, length + 1)).all()
+        assert np.array_equal(problem.evaluate_batch(genes), solver.population_.costs)
+        assert row_keys(genes).dtype.itemsize == 2 * length
 
     def test_gea_converges_on_onemax(self):
         solver = GeaSolver(variant="gea", pop_size=30, max_iters=200, seed=42).fit(OneMax(20))
