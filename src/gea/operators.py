@@ -79,21 +79,26 @@ def _single_point_batch(p1: np.ndarray, p2: np.ndarray,
 
 def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """One OX child per row: segment from seg_parent, fill order from fill_parent."""
+    """One OX child per row: segment from seg_parent, fill order from fill_parent.
+
+    Whether a symbol lies in its row's segment is kept in one flat bool table
+    of m * (L+1) entries, row r's symbols 1..L at offset r * (L+1): the
+    segment's symbols are set with one 1-D index, and fill_parent's symbols
+    are looked up with one `take`. The child starts as a copy of seg_parent,
+    and its loci outside the segment take fill_parent's other symbols, in
+    fill_parent's order, in one boolean compaction.
+    """
     m, length = seg_parent.shape
     pos = np.arange(length)
     in_segment = (pos >= lo[:, None]) & (pos <= hi[:, None])
 
-    # locate fill_parent's symbols inside seg_parent (symbols are 1..L)
-    rows = np.arange(m)[:, None]
-    symbol_pos = np.empty((m, length + 1), dtype=np.int64)
-    symbol_pos[rows, seg_parent] = pos
-    fill_pos = symbol_pos[rows, fill_parent]
-    fill_in_segment = (fill_pos >= lo[:, None]) & (fill_pos <= hi[:, None])
+    offsets = np.arange(0, m * (length + 1), length + 1)[:, None]
+    marked = np.zeros(m * (length + 1), dtype=bool)
+    marked[(seg_parent + offsets)[in_segment]] = True
+    fill_in_segment = marked.take(fill_parent + offsets)
 
     # each row has as many loci outside the segment as symbols absent from
-    # it, so the row-major boolean compactions line up row by row
-    child = np.empty_like(seg_parent)
-    child[in_segment] = seg_parent[in_segment]
+    # it, so the row-major boolean compaction lines up row by row
+    child = seg_parent.copy()
     child[~in_segment] = fill_parent[~fill_in_segment]
     return child

@@ -10,21 +10,20 @@ class Population:
 
     A (size, L) gene matrix, kept in the dtype it is given (the domain's
     `GeneDomain.dtype` in a fit), plus a cost vector; row i is the i-th best
-    genome.
+    genome. Costs are checked to be one finite number per row and sorted,
+    unless `presorted` says they already are: checked float64, ascending.
     """
 
     __slots__ = ("genes", "costs")
 
     def __init__(self, genes: np.ndarray, costs: np.ndarray, presorted: bool = False):
         genes = np.asarray(genes)
-        costs = np.asarray(costs, dtype=np.float64)
-        if genes.ndim != 2 or genes.shape[0] != costs.shape[0]:
-            raise ValueError("genes must be (size, L) aligned with costs")
+        if genes.ndim != 2:
+            raise ValueError(f"genes must be a (size, L) matrix, got shape {genes.shape}")
         if genes.shape[0] == 0:
             raise ValueError("population cannot be empty")
-        if not np.isfinite(costs).all():
-            raise ValueError("all costs must be finite")
         if not presorted:
+            costs = _checked_costs(costs, genes.shape[0])
             order = np.argsort(costs, kind="stable")
             genes, costs = genes[order], costs[order]
         self.genes = genes
@@ -47,7 +46,8 @@ class Population:
         so selection pressure cannot collapse the pool into copies of one
         solution; duplicates fill the remainder only in tiny domains.
         Distinctness is exact genome equality, checked on the compact
-        per-row key of `row_keys`.
+        per-row key of `row_keys`. Offspring costs are taken as checked
+        (a fit checks them as the problem returns them).
         """
         if offspring_genes.shape[0] == 0:
             return self
@@ -82,13 +82,34 @@ def row_keys(genes: np.ndarray) -> np.ndarray:
     return genes.view(np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
 
 
+def _checked_costs(costs, rows: int, problem=None) -> np.ndarray:
+    """`costs` as float64, when they are one finite cost for each of `rows`
+    genomes; otherwise a ValueError that names the problem that returned them
+    (or the population, given no problem) and the offending row."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.shape == (rows,) and np.isfinite(costs).all():
+        return costs
+    source = ("Population" if problem is None
+              else f"problem {problem.name!r} ({type(problem).__name__}) evaluate_batch")
+    if costs.shape != (rows,):
+        detail = ""
+        if costs.ndim == 1:
+            detail = (f": row {costs.size} has no cost" if costs.size < rows
+                      else f": costs from row {rows} on match no genome")
+        raise ValueError(f"{source}: costs of shape {costs.shape} for {rows} genomes{detail}")
+    row = int(np.argmin(np.isfinite(costs)))
+    raise ValueError(f"{source}: non-finite cost {costs[row]} for row {row}; "
+                     f"all costs must be finite")
+
+
 def init_population(problem, size: int, rng: np.random.Generator) -> Population:
     """Uniform random population, evaluated and sorted."""
     if size < 2:
         raise ValueError(f"population size must be >= 2, got {size}")
     genes = problem.domain().sample_batch(rng, size)
-    costs = problem.evaluate_batch(genes)
-    return Population(genes, costs)
+    costs = _checked_costs(problem.evaluate_batch(genes), size, problem)
+    order = np.argsort(costs, kind="stable")
+    return Population(genes[order], costs[order], presorted=True)
 
 
 def rank_weight_cumsum(size: int) -> np.ndarray:

@@ -14,7 +14,9 @@ class Problem(ABC):
 
     `evaluate_batch` is the objective: the cost of every row of an (m, L)
     gene matrix of valid genomes. It must be pure, deterministic and total
-    over the domain. `evaluate` is the same objective on one validated genome.
+    over the domain. A fit checks every batch it gets back: one finite cost
+    per row, or a ValueError that names the problem and the row.
+    `evaluate` is the same objective on one validated genome.
     """
 
     name: str = "problem"

@@ -16,8 +16,8 @@ from ..genome import GeneDomain
 from ..rng import make_rng
 from .base import Problem
 
-DP_MAX_ITEMS = 30
-DP_MAX_CAPACITY = 10_000
+# items x (capacity + 1): the work of the DP, and a bound on its capacity row
+DP_MAX_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,20 @@ class Knapsack(Problem):
 
 
 def knapsack_dp_optimum(instance: KnapsackInstance) -> float:
-    """Exact maximum value by dynamic programming over integer capacities."""
+    """Exact maximum value by dynamic programming over integer capacities.
+
+    O(items x capacity) time over one capacity row; refused beyond
+    `DP_MAX_CELLS` table cells.
+    """
     weights = instance.weights
     for w in weights:
         if w != int(w):
             raise ValueError(f"dp oracle needs integer weights, got {w}")
-    if instance.n_items > DP_MAX_ITEMS:
-        raise ValueError(f"dp oracle limited to {DP_MAX_ITEMS} items, got {instance.n_items}")
     capacity = int(math.floor(instance.capacity))
-    if capacity > DP_MAX_CAPACITY:
-        raise ValueError(f"dp oracle limited to capacity {DP_MAX_CAPACITY}, got {capacity}")
+    cells = instance.n_items * (capacity + 1)
+    if cells > DP_MAX_CELLS:
+        raise ValueError(f"dp oracle limited to {DP_MAX_CELLS} table cells, got "
+                         f"{instance.n_items} items x (capacity {capacity} + 1) = {cells}")
 
     best = np.zeros(capacity + 1, dtype=np.float64)
     for w, v in zip(weights, instance.values):

@@ -79,10 +79,20 @@ class VehicleRouting(Problem):
         return self._domain
 
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
-        nodes = self._node_of[genomes]
-        depot = np.zeros((genomes.shape[0], 1), dtype=np.int64)
-        path = np.concatenate([depot, nodes, depot], axis=1)
-        return self.instance.distances[path[:, :-1], path[:, 1:]].sum(axis=1)
+        """Total route length of each row.
+
+        Each row becomes a depot-framed node path of L+2 nodes, and its L+1
+        legs are read from the raveled distance matrix with one `take` of the
+        flat indices from * n + to. The (m, L+1) leg matrix and its row sums
+        are the same as a 2-D distances[from, to] index would give, so costs
+        are bit-equal to it.
+        """
+        m, length = genomes.shape
+        distances = self.instance.distances
+        path = np.zeros((m, length + 2), dtype=np.int64)
+        path[:, 1:-1] = self._node_of.take(genomes)
+        legs = path[:, :-1] * distances.shape[0] + path[:, 1:]
+        return distances.ravel().take(legs).sum(axis=1)
 
 
 def vrp_decode(instance: VrpInstance, genes: Genome) -> list[list[int]]:

@@ -38,7 +38,8 @@ from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
                           repetition_matrix)
 from .genome import GeneDomain
 from .operators import crossover_batch, mutate_batch
-from .population import Population, init_population, rank_weight_cumsum, roulette_indices
+from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
+                         roulette_indices)
 from .rng import split_streams
 from .validation import check_fraction, check_int, check_weights
 
@@ -125,7 +126,8 @@ class _Generation:
         if not parts:
             return pop
         offspring = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return pop.select_survivors(offspring, problem.evaluate_batch(offspring))
+        costs = _checked_costs(problem.evaluate_batch(offspring), offspring.shape[0], problem)
+        return pop.select_survivors(offspring, costs)
 
 
 class GeaSolver:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gea.genome import GeneDomain
-from gea.operators import crossover_batch, mutate_batch
+from gea.operators import _ox_batch, crossover_batch, mutate_batch
 from gea.rng import make_rng
 
 BIN4 = GeneDomain.binary(4)
@@ -61,6 +61,46 @@ class TestOrderCrossover:
         # single point: prefix comes from p1, suffix from p2
         changed = c1 != p1
         assert (changed == (c2 != p2)).all()
+
+
+def reference_ox(seg_parent, fill_parent, lo, hi):
+    """2-D reference OX: an int64 (row, symbol) -> locus table of seg_parent
+    tells which of fill_parent's symbols lie inside the segment."""
+    m, length = seg_parent.shape
+    pos = np.arange(length)
+    in_segment = (pos >= lo[:, None]) & (pos <= hi[:, None])
+    rows = np.arange(m)[:, None]
+    symbol_pos = np.empty((m, length + 1), dtype=np.int64)
+    symbol_pos[rows, seg_parent] = pos
+    fill_pos = symbol_pos[rows, fill_parent]
+    fill_in_segment = (fill_pos >= lo[:, None]) & (fill_pos <= hi[:, None])
+    child = np.empty_like(seg_parent)
+    child[in_segment] = seg_parent[in_segment]
+    child[~in_segment] = fill_parent[~fill_in_segment]
+    return child
+
+
+class TestOxKernelOracle:
+    @pytest.mark.parametrize("domain", [
+        GeneDomain.permutation(2),
+        GeneDomain.permutation(16, separators=4),
+        GeneDomain.permutation(200, separators=9),
+        GeneDomain.permutation(290, separators=10),  # 300 symbols: uint16 genes
+    ], ids=lambda d: f"L{d.length}")
+    def test_bit_equal_to_reference(self, domain):
+        rng = make_rng(domain.length)
+        m, length = 60, domain.length
+        seg_parent, fill_parent = domain.sample_batch(rng, m), domain.sample_batch(rng, m)
+        a, b = rng.integers(0, length, size=m), rng.integers(0, length, size=m)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        # one-locus segments, then whole-row segments
+        hi[:10] = lo[:10]
+        lo[10:20], hi[10:20] = 0, length - 1
+        child = _ox_batch(seg_parent, fill_parent, lo, hi)
+        expected = reference_ox(seg_parent, fill_parent, lo, hi)
+        assert child.dtype == expected.dtype == domain.dtype
+        assert np.array_equal(child, expected)
+        assert np.array_equal(child[10:20], seg_parent[10:20])
 
 
 class TestCrossoverWrapper:

@@ -3,6 +3,7 @@ import pytest
 
 from gea.problems import (Knapsack, KnapsackInstance, OneMax,
                           generate_knapsack_instance, knapsack_dp_optimum)
+from gea.problems.knapsack import DP_MAX_CELLS
 from gea.rng import make_rng
 
 
@@ -74,6 +75,27 @@ class TestKnapsackEvaluate:
             KnapsackInstance((3.0, 4.0), (float("-inf"), 6.0), 5.0)
 
 
+def meet_in_the_middle_optimum(inst):
+    """Exhaustive optimum over every subset: each half's subsets enumerated,
+    then each first-half subset paired with the best second-half subset that
+    still fits."""
+    def subsets(weights, values):
+        w, v = np.zeros(1), np.zeros(1)
+        for wi, vi in zip(weights, values):
+            w, v = np.concatenate([w, w + wi]), np.concatenate([v, v + vi])
+        return w, v
+
+    half = inst.n_items // 2
+    w1, v1 = subsets(inst.weights[:half], inst.values[:half])
+    w2, v2 = subsets(inst.weights[half:], inst.values[half:])
+    order = np.argsort(w2, kind="stable")
+    w2, best_v2 = w2[order], np.maximum.accumulate(v2[order])
+    fits = w1 <= inst.capacity
+    # w2[0] is the empty subset, so every fitting first half has a partner
+    partner = np.searchsorted(w2, inst.capacity - w1[fits], side="right") - 1
+    return float((v1[fits] + best_v2[partner]).max())
+
+
 class TestKnapsackDp:
     @pytest.mark.parametrize("weights,values,cap,expected", [
         ((2, 3), (3, 4), 5, 7.0),
@@ -105,12 +127,18 @@ class TestKnapsackDp:
             knapsack_dp_optimum(inst)
 
     def test_size_limits(self):
-        big = KnapsackInstance(tuple([1.0] * 31), tuple([1.0] * 31), 5.0)
-        with pytest.raises(ValueError, match="items"):
-            knapsack_dp_optimum(big)
-        deep = KnapsackInstance((1.0,), (1.0,), 20_000.0)
-        with pytest.raises(ValueError, match="capacity"):
-            knapsack_dp_optimum(deep)
+        # one cap on items x (capacity + 1) cells, whatever the item count
+        assert knapsack_dp_optimum(KnapsackInstance((1.0,) * 31, (1.0,) * 31, 5.0)) == 5.0
+        assert knapsack_dp_optimum(KnapsackInstance((1.0,), (1.0,), 20_000.0)) == 1.0
+        wide = KnapsackInstance((1.0,) * 100, (1.0,) * 100, float(DP_MAX_CELLS // 100))
+        with pytest.raises(ValueError,
+                           match=r"table cells, got 100 items x \(capacity 100000 \+ 1\)"):
+            knapsack_dp_optimum(wide)
+
+    @pytest.mark.parametrize("n_items,seed", [(40, 1), (40, 2), (41, 7)])
+    def test_matches_meet_in_the_middle_beyond_thirty_items(self, n_items, seed):
+        inst = generate_knapsack_instance(n_items, seed)
+        assert knapsack_dp_optimum(inst) == meet_in_the_middle_optimum(inst)
 
 
 class TestKnapsackGenerator:

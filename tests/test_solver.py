@@ -167,3 +167,47 @@ class TestStep:
         assert out.best_cost == pop.best_cost
         assert np.array_equal(np.unique(out.genes, axis=0),
                               np.unique(genes, axis=0))
+
+
+class FaultyOneMax(OneMax):
+    """OneMax(12) whose `evaluate_batch` answers honestly `honest_calls` times,
+    then passes its costs through `fault`."""
+
+    def __init__(self, fault, honest_calls):
+        super().__init__(12)
+        self.name = "faulty"
+        self.fault = fault
+        self.honest_calls = honest_calls
+
+    def evaluate_batch(self, genomes):
+        costs = super().evaluate_batch(genomes)
+        if self.honest_calls:
+            self.honest_calls -= 1
+            return costs
+        return self.fault(costs)
+
+
+def with_nan_at_row_2(costs):
+    costs = costs.copy()
+    costs[2] = np.nan
+    return costs
+
+
+class TestProblemBoundary:
+    # ga on 20 members: the initial population is 20 rows, each generation's
+    # offspring 18 (16 crossover children and 2 mutants)
+    @pytest.mark.parametrize("honest_calls,rows", [(0, 20), (1, 18)],
+                             ids=["init_population", "step"])
+    @pytest.mark.parametrize("fault,message", [
+        (lambda costs: costs[:-3],
+         "shape \\({short},\\) for {rows} genomes: row {short} has no cost"),
+        (lambda costs: np.concatenate([costs, costs[:3]]),
+         "shape \\({long},\\) for {rows} genomes: costs from row {rows} on match no genome"),
+        (with_nan_at_row_2, "non-finite cost nan for row 2"),
+    ], ids=["three_too_few", "three_too_many", "nan"])
+    def test_bad_costs_named_by_problem_and_row(self, fault, message, honest_calls, rows):
+        problem = FaultyOneMax(fault, honest_calls)
+        expected = "problem 'faulty' \\(FaultyOneMax\\) evaluate_batch: .*" + message.format(
+            short=rows - 3, long=rows + 3, rows=rows)
+        with pytest.raises(ValueError, match=expected):
+            GeaSolver(variant="ga", pop_size=20, max_iters=3, seed=1).fit(problem)

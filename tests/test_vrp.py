@@ -72,6 +72,21 @@ class TestEvaluate:
         assert problem.evaluate(forward) == pytest.approx(problem.evaluate(reversed_first))
 
 
+class TestLegGatherOracle:
+    @pytest.mark.parametrize("n_customers,n_vehicles", [(2, 1), (17, 4), (200, 10), (260, 5)],
+                             ids=["L2", "L20", "L209", "L264_uint16"])
+    def test_bit_equal_to_2d_index(self, n_customers, n_vehicles):
+        instance = generate_instance(n_customers, n_vehicles, n_customers)
+        problem = VehicleRouting(instance)
+        genomes = problem.domain().sample_batch(make_rng(n_customers), 80)
+        # reference: separators are depot visits, legs read by a 2-D index
+        nodes = np.where(genomes > n_customers, 0, genomes).astype(np.int64)
+        depot = np.zeros((80, 1), dtype=np.int64)
+        path = np.concatenate([depot, nodes, depot], axis=1)
+        expected = instance.distances[path[:, :-1], path[:, 1:]].sum(1)
+        assert np.array_equal(problem.evaluate_batch(genomes), expected)
+
+
 class TestBruteForce:
     def test_collinear_optimum(self):
         cost, genome = vrp_brute_force(collinear_instance(k=1))
