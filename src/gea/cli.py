@@ -305,7 +305,8 @@ def cmd_gen_instance(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     problem = resolve_problem(args.instance)
     if isinstance(problem, Knapsack):
-        cost = knapsack_dp_optimum(problem.instance)
+        # a cost, as `run` and `bench` report it: total value - optimum value
+        cost = sum(problem.instance.values) - knapsack_dp_optimum(problem.instance)
     else:
         cost, _ = vrp_brute_force(problem.instance)
     print(f"{cost:.4f}")

@@ -69,12 +69,18 @@ def dominant_chromosome(rm: RepetitionMatrix) -> DominantChromosome:
 
     The first elite row reaching a locus's maximum count holds a max-count
     symbol, and no other max-count symbol appears in an earlier row.
+    Both reads are flat `take`s: entry (row, locus) counts at
+    `locus * n_symbols + symbol` of the raveled count matrix, and the
+    dominant gene at `first_row * L + locus` of the raveled elite. These are
+    the cells the 2-D indexes `counts[loci, elite]` and `elite[first_row,
+    loci]` read, so counts and genes are unchanged.
     """
-    loci = np.arange(rm.elite.shape[1])
-    entry_counts = rm.counts[loci, rm.elite]
+    length = rm.elite.shape[1]
+    loci = np.arange(length)
+    entry_counts = rm.counts.ravel().take(loci * rm.counts.shape[1] + rm.elite)
     repeat_counts = entry_counts.max(axis=0)
     first_row = (entry_counts == repeat_counts).argmax(axis=0)
-    return DominantChromosome(rm.elite[first_row, loci], repeat_counts)
+    return DominantChromosome(rm.elite.ravel().take(first_row * length + loci), repeat_counts)
 
 
 def build_mask(dc: DominantChromosome, threshold: int) -> PatternMask:

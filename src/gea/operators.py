@@ -37,7 +37,7 @@ def crossover_batch(domain: GeneDomain, parents1: np.ndarray, parents2: np.ndarr
     # both children in one vectorized pass: rows m.. are the swapped-parent pairs
     children = _ox_batch(np.concatenate([parents1, parents2]),
                          np.concatenate([parents2, parents1]),
-                         np.tile(lo, 2), np.tile(hi, 2))
+                         np.concatenate([lo, lo]), np.concatenate([hi, hi]))
     return children[:m], children[m:]
 
 
@@ -73,24 +73,41 @@ def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
 
 def _single_point_batch(p1: np.ndarray, p2: np.ndarray,
                         cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    take_other = np.arange(p1.shape[1])[None, :] >= cuts[:, None]
-    return np.where(take_other, p2, p1), np.where(take_other, p1, p2)
+    """Both single-point children per row: loci from the row's cut on come
+    from the other parent.
+
+    The mask compares positions in the narrowest unsigned type that holds
+    the genome length, so it is the same bool mask as an int64 compare. The
+    children are p1 ^ swap and p2 ^ swap with swap = (p1 ^ p2) * mask: where
+    the mask is set that exchanges the two genes exactly, elsewhere it keeps
+    them, for any integer genes and in the parents' dtype.
+    """
+    length = p1.shape[1]
+    pos_type = np.min_scalar_type(length)
+    take_other = np.arange(length, dtype=pos_type) >= cuts.astype(pos_type)[:, None]
+    swap = (p1 ^ p2) * take_other
+    return p1 ^ swap, p2 ^ swap
 
 
 def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """One OX child per row: segment from seg_parent, fill order from fill_parent.
 
+    Loci are compared as positions in the narrowest unsigned type that holds
+    the genome length, which gives the same segment mask as an int64 compare.
     Whether a symbol lies in its row's segment is kept in one flat bool table
     of m * (L+1) entries, row r's symbols 1..L at offset r * (L+1): the
     segment's symbols are set with one 1-D index, and fill_parent's symbols
     are looked up with one `take`. The child starts as a copy of seg_parent,
     and its loci outside the segment take fill_parent's other symbols, in
-    fill_parent's order, in one boolean compaction.
+    fill_parent's order. Both sides of that compaction are flat row-major
+    positions (`flatnonzero` of each mask) on the raveled matrices, the same
+    order a 2-D boolean index walks, so the child is unchanged.
     """
     m, length = seg_parent.shape
-    pos = np.arange(length)
-    in_segment = (pos >= lo[:, None]) & (pos <= hi[:, None])
+    pos_type = np.min_scalar_type(length)
+    pos = np.arange(length, dtype=pos_type)
+    in_segment = (pos >= lo.astype(pos_type)[:, None]) & (pos <= hi.astype(pos_type)[:, None])
 
     offsets = np.arange(0, m * (length + 1), length + 1)[:, None]
     marked = np.zeros(m * (length + 1), dtype=bool)
@@ -98,7 +115,8 @@ def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
     fill_in_segment = marked.take(fill_parent + offsets)
 
     # each row has as many loci outside the segment as symbols absent from
-    # it, so the row-major boolean compaction lines up row by row
+    # it, so the row-major compaction lines up row by row
     child = seg_parent.copy()
-    child[~in_segment] = fill_parent[~fill_in_segment]
+    child.ravel()[np.flatnonzero(~in_segment)] = \
+        fill_parent.ravel().take(np.flatnonzero(~fill_in_segment))
     return child

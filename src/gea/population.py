@@ -75,9 +75,15 @@ def row_keys(genes: np.ndarray) -> np.ndarray:
     The key is the bytes the row is stored in (one per locus for a uint8
     matrix), or its packed bits when a uint8 matrix holds only 0 and 1.
     Sorting short keys is what makes `np.unique` cheaper than on raw rows.
+    Bits are packed from a copy zero-padded to whole bytes per row, raveled
+    once: the same key bytes as `np.packbits(genes, axis=1)`, which pads
+    each row's last byte with zeros too, from one flat pass.
     """
     if genes.dtype == np.uint8 and genes.max() <= 1:
-        genes = np.packbits(genes, axis=1)
+        rows, length = genes.shape
+        padded = np.zeros((rows, -(-length // 8) * 8), dtype=np.uint8)
+        padded[:, :length] = genes
+        genes = np.packbits(padded.ravel()).reshape(rows, -1)
     genes = np.ascontiguousarray(genes)
     return genes.view(np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
 

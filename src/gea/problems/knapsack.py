@@ -60,8 +60,15 @@ class Knapsack(Problem):
         return self._domain
 
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
-        weight = genomes @ self._weights
-        value = genomes @ self._values
+        """Penalized costs of a (m, n_items) 0/1 matrix.
+
+        The genes are cast to float64 once and both products are float64
+        matvecs on that copy: `genomes @ weights` on uint8 genes makes the
+        same cast inside each product, so costs are unchanged.
+        """
+        selected = genomes.astype(np.float64)
+        weight = selected @ self._weights
+        value = selected @ self._values
         overweight = weight - self.instance.capacity
         return np.where(overweight > 0,
                         self._total_value + overweight,

@@ -82,13 +82,14 @@ class _Generation:
         self.n_mut = _round_half_up(params.mutation_rate * size)
         self.elite_size = max(1, math.ceil(params.elite_fraction * size))
         self.threshold = math.ceil(params.threshold_fraction * self.elite_size)
-        self.weights = np.asarray(_VARIANT_WEIGHTS.get(params.variant,
-                                                       params.scenario_weights))
+        # Python floats, compared with the draws as Python floats
+        self.weights = _VARIANT_WEIGHTS.get(params.variant, params.scenario_weights)
 
     def step(self, pop: Population, problem, rng: np.random.Generator,
              scheduler_rng: np.random.Generator) -> Population:
         # independent per-scenario gates; weight w_i = firing probability
-        run1, run2, run3 = (bool(g) for g in scheduler_rng.random(3) < self.weights)
+        run1, run2, run3 = (draw < w for draw, w in
+                            zip(scheduler_rng.random(3).tolist(), self.weights))
         if run1 or run2 or run3:
             # one elite pass feeds every mechanism; it draws no random numbers
             dc = dominant_chromosome(repetition_matrix(pop.genes[: self.elite_size]))

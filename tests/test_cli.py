@@ -65,6 +65,15 @@ class TestOracle:
         out = capsys.readouterr().out.strip()
         assert out == f"{float(out):.4f}"
 
+    def test_knapsack_optimum_is_a_cost_like_run_reports(self, tmp_path, capsys):
+        # `run` reports costs (total value - selected value); so must `oracle`
+        assert main(["oracle", "knapsack:15:3"]) == 0
+        optimum = capsys.readouterr().out.strip()
+        assert main(["run", "--instance", "knapsack:15:3", "--runs", "3",
+                     "--iters", "300", "--out", str(tmp_path / "run")]) == 0
+        best = capsys.readouterr().out.split("best=")[1].split()[0]
+        assert optimum == best == "53.0000"
+
     def test_non_finite_coordinates_exit_1(self, tmp_path, capsys):
         path = tmp_path / "nan.txt"
         path.write_text("NAME x\nVEHICLES 1\nDEPOT 0 0\nCUSTOMER 1 nan 3\n", encoding="utf-8")

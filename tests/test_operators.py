@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gea.genome import GeneDomain
-from gea.operators import _ox_batch, crossover_batch, mutate_batch
+from gea.operators import _ox_batch, _single_point_batch, crossover_batch, mutate_batch
 from gea.rng import make_rng
 
 BIN4 = GeneDomain.binary(4)
@@ -20,6 +20,31 @@ class TestSinglePoint:
         g = np.tile([1, 0, 1, 1], (3, 1))
         c1, c2 = crossover_batch(BIN4, g, g, scripted_rng([1, 2, 3]))
         assert np.array_equal(c1, g) and np.array_equal(c2, g)
+
+
+def reference_single_point(p1, p2, cuts):
+    """Reference single-point crossover: two `np.where`s on an int64 mask."""
+    take_other = np.arange(p1.shape[1]) >= cuts[:, None]
+    return np.where(take_other, p2, p1), np.where(take_other, p1, p2)
+
+
+class TestSinglePointOracle:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("length", [2, 8, 255, 256, 300])
+    def test_bit_equal_to_reference(self, length, dtype):
+        rng = make_rng(length)
+        m = 40
+        info = np.iinfo(dtype)
+        # any integer genes, not only 0/1: full-range values, negatives for int64
+        p1 = rng.integers(info.min, info.max, size=(m, length), dtype=dtype, endpoint=True)
+        p2 = rng.integers(info.min, info.max, size=(m, length), dtype=dtype, endpoint=True)
+        p1[:5], p2[:5] = p1[:5] % 2, p2[:5] % 2
+        cuts = rng.integers(1, length, size=m)
+        cuts[:3], cuts[3:6] = 1, length - 1
+        c1, c2 = _single_point_batch(p1, p2, cuts)
+        e1, e2 = reference_single_point(p1, p2, cuts)
+        assert c1.dtype == c2.dtype == e1.dtype == dtype
+        assert np.array_equal(c1, e1) and np.array_equal(c2, e2)
 
 
 class TestOrderCrossover:
@@ -85,6 +110,8 @@ class TestOxKernelOracle:
         GeneDomain.permutation(2),
         GeneDomain.permutation(16, separators=4),
         GeneDomain.permutation(200, separators=9),
+        GeneDomain.permutation(250, separators=5),  # L=255: uint8 positions
+        GeneDomain.permutation(250, separators=6),  # L=256: uint16 positions
         GeneDomain.permutation(290, separators=10),  # 300 symbols: uint16 genes
     ], ids=lambda d: f"L{d.length}")
     def test_bit_equal_to_reference(self, domain):

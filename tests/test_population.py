@@ -165,6 +165,15 @@ class TestSurvivorSelect:
             assert np.array_equal(out.genes, genes)
             assert np.array_equal(out.costs, costs)
 
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 300])
+    def test_binary_keys_are_packbits_bytes(self, length):
+        genes = GeneDomain.binary(length).sample_batch(make_rng(length), 50)
+        genes[0], genes[1] = 0, 1
+        expected = np.packbits(genes, axis=1)
+        keys = row_keys(genes)
+        assert keys.shape == (50,) and keys.dtype.itemsize == expected.shape[1]
+        assert keys.tobytes() == expected.tobytes()
+
     def test_key_width(self):
         # one bit per 0/1 gene, one byte per routing locus below 256 symbols
         binary = GeneDomain.binary(300).sample_batch(make_rng(0), 5)

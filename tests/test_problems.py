@@ -57,6 +57,24 @@ class TestKnapsackEvaluate:
             if feasible.any() and (~feasible).any():
                 assert costs[feasible].max() < costs[~feasible].min()
 
+    def test_bit_equal_to_two_product_reference(self):
+        # reference: one product per vector on the uint8 matrix itself
+        rng = make_rng(29)
+        for trial in range(200):
+            n = int(rng.integers(1, 301))
+            weights = rng.uniform(0.01, 30.0, n)
+            values = rng.uniform(0.01, 50.0, n)
+            capacity = float(rng.uniform(0.2, 0.8) * weights.sum())
+            problem = Knapsack(KnapsackInstance(tuple(weights.tolist()), tuple(values.tolist()),
+                                                capacity))
+            genomes = rng.integers(0, 2, size=(1 + trial % 90, n), dtype=np.uint8)
+            total = float(values.sum())
+            overweight = genomes @ weights - capacity
+            expected = np.where(overweight > 0, total + overweight, total - genomes @ values)
+            costs = problem.evaluate_batch(genomes)
+            assert costs.dtype == np.float64
+            assert np.array_equal(costs, expected)
+
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             KnapsackInstance((1.0,), (1.0, 2.0), 3.0)
