@@ -31,8 +31,9 @@ def crossover_batch(domain: GeneDomain, parents1: np.ndarray, parents2: np.ndarr
     if domain.kind is DomainKind.BINARY:
         cuts = rng.integers(1, length, size=m)
         return _single_point_batch(parents1, parents2, cuts)
-    a = rng.integers(0, length, size=m)
-    b = rng.integers(0, length, size=m)
+    # one (2, m) draw gives the same ends, and leaves the generator in the
+    # same state, as two draws of m
+    a, b = rng.integers(0, length, size=(2, m))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # both children in one vectorized pass: rows m.. are the swapped-parent pairs
     children = _ox_batch(np.concatenate([parents1, parents2]),
@@ -51,20 +52,22 @@ def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Flip one bit or swap two distinct positions per row, drawn from the
     `free` loci only; rows come back unchanged when too few loci are free."""
-    m = genomes.shape[0]
+    m, length = genomes.shape
     out = genomes.copy()
     binary = domain.kind is DomainKind.BINARY
     if m == 0 or free.size < (1 if binary else 2):
         return out
-    rows = np.arange(m)
+    # loci as flat positions row * L + locus of the raveled copy
+    flat = out.ravel()
+    rows = np.arange(0, m * length, length)
     i = rng.integers(0, free.size, size=m)
     if binary:
-        out[rows, free[i]] ^= 1
+        flat[rows + free[i]] ^= 1
         return out
     j = rng.integers(0, free.size - 1, size=m)
     j = j + (j >= i)
-    fi, fj = free[i], free[j]
-    out[rows, fi], out[rows, fj] = genomes[rows, fj], genomes[rows, fi]
+    fi, fj = rows + free[i], rows + free[j]
+    flat[fi], flat[fj] = flat.take(fj), flat.take(fi)
     return out
 
 

@@ -131,6 +131,7 @@ def roulette_indices(size: int, draws: int, rng: np.random.Generator,
         raise ValueError("cannot select from an empty population")
     if cumulative is None:
         cumulative = rank_weight_cumsum(size)
-    points = rng.random(draws) * cumulative[-1]
-    return np.searchsorted(cumulative, points, side="right")
+    points = rng.random(draws)
+    points *= cumulative[-1]
+    return cumulative.searchsorted(points, side="right")
 

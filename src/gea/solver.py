@@ -17,9 +17,12 @@ Each generation produces round(crossover_rate * pop) crossover children from
 rank-roulette parent pairs and round(mutation_rate * pop) mutants, applies the
 mechanisms that fire, then truncates parents + offspring elitistically back to
 the population size, so the best cost never regresses. When any mechanism
-fires, the elite statistics (dominant chromosome and pattern mask) are computed
-once per generation, from the population before the offspring, and shared by
-all three mechanisms.
+fires, the elite statistics (dominant chromosome and pattern mask) are read
+from the population before the offspring and shared by all three mechanisms.
+They are computed in one pass per distinct elite: a fit keeps the last pass,
+with the repaired dominant candidate once scenario 1 asks for it, and reuses it
+while the elite rows are unchanged. The pass draws no random numbers, so
+reusing it leaves every fit as it was.
 
 Every variant draws its gates from a dedicated scheduler stream, separate from
 the operator stream; a ``gea`` run whose weights force a single scenario
@@ -84,6 +87,9 @@ class _Generation:
         self.threshold = math.ceil(params.threshold_fraction * self.elite_size)
         # Python floats, compared with the draws as Python floats
         self.weights = _VARIANT_WEIGHTS.get(params.variant, params.scenario_weights)
+        # the last elite pass and the bytes of the elite rows it was computed
+        # from; the candidate is made on the first scenario 1 after each pass
+        self.elite_bytes = self.dc = self.mask = self.candidate = None
 
     def step(self, pop: Population, problem, rng: np.random.Generator,
              scheduler_rng: np.random.Generator) -> Population:
@@ -91,9 +97,18 @@ class _Generation:
         run1, run2, run3 = (draw < w for draw, w in
                             zip(scheduler_rng.random(3).tolist(), self.weights))
         if run1 or run2 or run3:
-            # one elite pass feeds every mechanism; it draws no random numbers
-            dc = dominant_chromosome(repetition_matrix(pop.genes[: self.elite_size]))
-            mask = build_mask(dc, self.threshold)
+            # one elite pass feeds every mechanism; it draws no random numbers,
+            # so the last pass stands while the elite rows are unchanged. The
+            # elite's shape and dtype are fixed for the fit, so equal bytes
+            # are equal rows; comparing bytes costs a tenth of np.array_equal
+            elite = pop.genes[: self.elite_size]
+            elite_bytes = elite.tobytes()
+            if elite_bytes != self.elite_bytes:
+                self.elite_bytes = elite_bytes
+                self.dc = dominant_chromosome(repetition_matrix(elite))
+                self.mask = build_mask(self.dc, self.threshold)
+                self.candidate = None
+            dc, mask = self.dc, self.mask
 
         parts: list[np.ndarray] = []
         if self.n_cross > 0:
@@ -114,7 +129,10 @@ class _Generation:
                 parts.append(mutate_batch(self.domain, sources, rng))
 
         if run1:
-            parts.append(dominant_candidate(self.domain, dc, pop.genes[0])[None, :])
+            # its template, pop.genes[0], is elite row 0, so it stands with the pass
+            if self.candidate is None:
+                self.candidate = dominant_candidate(self.domain, dc, pop.genes[0])[None, :]
+            parts.append(self.candidate)
         if run3:
             pool = self.size - self.elite_size
             n_inject = min(self.n_mut, pool)

@@ -31,7 +31,14 @@ def check_fraction(name: str, value, low: float = 0.0, high: float = 1.0,
 
 def check_weights(name: str, weights: Sequence[float], size: int = 3,
                   require_positive: bool = False) -> tuple[float, ...]:
-    values = tuple(float(w) for w in weights)
+    # a string iterates as characters, so it is no sequence of numbers here
+    try:
+        if isinstance(weights, (str, bytes)):
+            raise TypeError
+        values = tuple(float(w) for w in weights)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a sequence of {size} numbers, "
+                         f"got {weights!r}") from None
     if len(values) != size:
         raise ValueError(f"{name} must have {size} entries, got {len(values)}")
     if not all(math.isfinite(w) for w in values):

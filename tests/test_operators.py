@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gea.genome import GeneDomain
-from gea.operators import _ox_batch, _single_point_batch, crossover_batch, mutate_batch
+from gea.genome import DomainKind, GeneDomain
+from gea.operators import (_ox_batch, _single_point_batch, crossover_batch, mutate_batch,
+                           mutate_loci)
 from gea.rng import make_rng
 
 BIN4 = GeneDomain.binary(4)
@@ -51,8 +52,9 @@ class TestOrderCrossover:
     def test_hand_traced_example(self, scripted_rng):
         p1 = np.array([[1, 2, 3, 4, 5]])
         p2 = np.array([[5, 4, 3, 2, 1]])
-        # segment ends drawn as 3 then 2: the segment is loci 2..3 either way
-        c1, c2 = crossover_batch(PERM5, p1, p2, scripted_rng([3], [2]))
+        # segment ends drawn as one (2, m) batch, 3 then 2: the segment is
+        # loci 2..3 either way
+        c1, c2 = crossover_batch(PERM5, p1, p2, scripted_rng([[3], [2]]))
         # child keeps (.,.,3,4,.) and takes 5,2,1 in p2 order
         assert c1.tolist() == [[5, 2, 3, 4, 1]]
         assert c2.tolist() == [[1, 4, 3, 2, 5]]
@@ -60,8 +62,21 @@ class TestOrderCrossover:
     def test_identical_parents_identity(self, scripted_rng):
         g = np.tile([3, 1, 4, 2, 5], (4, 1))
         # segments (0, 0), (1, 3), (0, 4) and (4, 4), one per row
-        c1, c2 = crossover_batch(PERM5, g, g, scripted_rng([0, 1, 0, 4], [0, 3, 4, 4]))
+        c1, c2 = crossover_batch(PERM5, g, g, scripted_rng([[0, 1, 0, 4], [0, 3, 4, 4]]))
         assert np.array_equal(c1, g) and np.array_equal(c2, g)
+
+    @pytest.mark.parametrize("length", [3, 10, 23, 34, 157, 209, 300, 65536, 2 ** 33])
+    def test_one_draw_of_segment_ends_replays_two(self, length):
+        # crossover_batch draws both segment ends as one (2, m) batch; on this
+        # NumPy that is the same values and generator state as two draws of m,
+        # so fits replay the streams of the two-call form
+        for seed in range(20):
+            for m in (1, 7, 40, 45):
+                one, two = make_rng(seed), make_rng(seed)
+                a, b = one.integers(0, length, size=(2, m))
+                assert np.array_equal(a, two.integers(0, length, size=m))
+                assert np.array_equal(b, two.integers(0, length, size=m))
+                assert one.random() == two.random()
 
     def test_closure_over_random_cases(self):
         # permutation invariant must survive 10^4 randomized crossovers
@@ -155,6 +170,41 @@ class TestCrossoverWrapper:
         p1, p2 = PERM5.sample_batch(make_rng(1), 3), PERM5.sample_batch(make_rng(2), 3)
         assert np.array_equal(crossover_batch(PERM5, p1, p2, make_rng(9))[0],
                               crossover_batch(PERM5, p1, p2, make_rng(9))[0])
+
+
+def reference_mutate_loci(domain, genomes, free, rng):
+    """The 2-D form of `mutate_loci`: rows indexed by row number, loci by `free`."""
+    out = genomes.copy()
+    rows = np.arange(genomes.shape[0])
+    i = rng.integers(0, free.size, size=rows.size)
+    if domain.kind is DomainKind.BINARY:
+        out[rows, free[i]] ^= 1
+        return out
+    j = rng.integers(0, free.size - 1, size=rows.size)
+    j = j + (j >= i)
+    out[rows, free[i]], out[rows, free[j]] = genomes[rows, free[j]], genomes[rows, free[i]]
+    return out
+
+
+class TestMutateLociOracle:
+    @pytest.mark.parametrize("domain", [GeneDomain.binary(1), GeneDomain.binary(300),
+                                        GeneDomain.permutation(2), GeneDomain.permutation(23),
+                                        GeneDomain.permutation(300, separators=4)],
+                             ids=lambda d: f"{d.kind.name}-{d.length}")
+    def test_bit_equal_to_2d_reference(self, domain):
+        rng = make_rng(5)
+        minimum = 1 if domain.kind is DomainKind.BINARY else 2
+        for m in (1, 10, 90):
+            genomes = domain.sample_batch(rng, m)
+            for free in (np.arange(domain.length),
+                         np.flatnonzero(rng.random(domain.length) < 0.5)):
+                if free.size < minimum:
+                    continue
+                seed = int(rng.integers(1 << 30))
+                got = mutate_loci(domain, genomes, free, make_rng(seed))
+                expected = reference_mutate_loci(domain, genomes, free, make_rng(seed))
+                assert got.dtype == genomes.dtype
+                assert np.array_equal(got, expected)
 
 
 class TestMutation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gea.solver
+from gea import engineering
 from gea.population import Population, init_population, row_keys
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
@@ -54,6 +55,10 @@ class TestFitValidation:
         ({"crossover_rate": float("nan")}, "crossover_rate"),
         ({"scenario_weights": (float("nan"), 0.5, 0.2)}, "scenario_weights"),
         ({"variant": "ga", "scenario_weights": (float("inf"), 0.0, 0.0)}, "scenario_weights"),
+        ({"scenario_weights": None}, "scenario_weights"),
+        ({"scenario_weights": 0.5}, "scenario_weights"),
+        ({"scenario_weights": (0.5, "x", 0.2)}, "scenario_weights"),
+        ({"scenario_weights": "0.5,0.5,0.2"}, "scenario_weights"),
     ])
     def test_invalid_params_named_in_error(self, params, fragment):
         kwargs = {"pop_size": 50, "max_iters": 1}
@@ -135,24 +140,139 @@ class TestFit:
             assert np.array_equal(a.best_genes_, b.best_genes_)
 
 
+class EliteObserver:
+    """Wraps `_Generation.step` to see each generation's elite, counts the
+    generations whose elite differs from the elite of the last pass, and
+    records the elite of every pass the solver makes."""
+
+    def __init__(self, monkeypatch):
+        self.reset()
+        step, repetition_matrix = _Generation.step, gea.solver.repetition_matrix
+
+        def observed(generation, pop, *args):
+            self.generation = generation
+            self.elite = pop.genes[: generation.elite_size].copy()
+            if generation.weights != (0.0, 0.0, 0.0) and (
+                    self.last_pass is None or not np.array_equal(self.elite, self.last_pass)):
+                self.changed += 1
+                self.last_pass = self.elite
+            return step(generation, pop, *args)
+
+        def counted(elite):
+            self.passes.append(elite.copy())
+            return repetition_matrix(elite)
+
+        monkeypatch.setattr(_Generation, "step", observed)
+        monkeypatch.setattr(gea.solver, "repetition_matrix", counted)
+
+    def reset(self):
+        self.generation = self.elite = self.last_pass = None
+        self.changed = 0
+        self.passes = []
+
+    def fresh_pass(self):
+        """Dominant chromosome, mask and candidate recomputed on this generation's elite."""
+        dc = engineering.dominant_chromosome(engineering.repetition_matrix(self.elite))
+        mask = engineering.build_mask(dc, self.generation.threshold)
+        candidate = engineering.dominant_candidate(self.generation.domain, dc, self.elite[0])
+        return dc, mask, candidate
+
+
+# every scenario gate fires in every generation
+ALWAYS_ENGINEERED = [("gea", (1, 1, 1)), ("gea1", None), ("gea2", None), ("gea3", None)]
+GENERATIONS = 60
+
+
+def fit_every_generation(variant, weights, problem):
+    kwargs = {} if weights is None else {"scenario_weights": weights}
+    return GeaSolver(variant=variant, pop_size=20, max_iters=GENERATIONS, seed=3,
+                     **kwargs).fit(problem)
+
+
 class TestElitePass:
-    @pytest.mark.parametrize("variant,expected_per_generation", [("gea", 1), ("ga", 0)])
-    def test_one_repetition_matrix_per_generation(self, monkeypatch, variant,
-                                                  expected_per_generation):
-        calls = []
-        original = gea.solver.repetition_matrix
-
-        def counting(elite):
-            calls.append(1)
-            return original(elite)
-
-        monkeypatch.setattr(gea.solver, "repetition_matrix", counting)
-        generations = 25
+    @pytest.mark.parametrize("variant,weights", ALWAYS_ENGINEERED + [("ga", None)],
+                             ids=["gea", "gea1", "gea2", "gea3", "ga"])
+    def test_one_repetition_matrix_per_distinct_elite(self, monkeypatch, variant, weights):
+        observer = EliteObserver(monkeypatch)
         for problem in (OneMax(12), VehicleRouting(generate_instance(6, 2, 5))):
-            calls.clear()
-            GeaSolver(variant=variant, scenario_weights=(1, 1, 1), pop_size=20,
-                      max_iters=generations, seed=3).fit(problem)
-            assert len(calls) == expected_per_generation * generations
+            observer.reset()
+            fit_every_generation(variant, weights, problem)
+            assert len(observer.passes) == observer.changed
+            if variant != "ga":
+                # both fits converge, so the elite recurs and passes are reused
+                assert 0 < len(observer.passes) < GENERATIONS
+
+    def test_any_changed_elite_gene_reruns_the_pass(self, monkeypatch):
+        observer = EliteObserver(monkeypatch)
+        problem = OneMax(6)
+        # no offspring: each step runs only the gate and the elite pass
+        params = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
+                           mutation_rate=0.0)._checked_params()
+        generation = _Generation(params, problem.domain())
+        genes = problem.domain().sample_batch(make_rng(4), 10)
+        pop = Population(genes, problem.evaluate_batch(genes))
+        last = generation.elite_size - 1
+
+        def changed(row, locus):
+            genes = pop.genes.copy()
+            genes[row, locus] ^= 1
+            return Population(genes, pop.costs, presorted=True)
+
+        first_locus, last_locus = changed(0, 0), changed(last, -1)
+        below_elite = changed(last + 1, 0)
+        for step_pop in (pop, pop, first_locus, first_locus, last_locus, below_elite, pop):
+            generation.step(step_pop, problem, make_rng(0), make_rng(1))
+        assert [elite.tolist() for elite in observer.passes] == [
+            p.genes[: last + 1].tolist() for p in (pop, first_locus, last_locus, pop)]
+
+    @pytest.mark.parametrize("variant,weights", ALWAYS_ENGINEERED,
+                             ids=["gea", "gea1", "gea2", "gea3"])
+    def test_reused_pass_equals_a_fresh_pass(self, monkeypatch, variant, weights):
+        observer = EliteObserver(monkeypatch)
+        seen = {"mutation": 0, "injection": 0, "candidate": 0}
+        directed, injection = gea.solver.directed_mutation_batch, gea.solver.gene_injection_batch
+
+        def checked_directed(domain, genomes, mask_bits, rng):
+            assert np.array_equal(mask_bits, observer.fresh_pass()[1].bits)
+            seen["mutation"] += 1
+            return directed(domain, genomes, mask_bits, rng)
+
+        def checked_injection(domain, genomes, mask_bits, dc_genes):
+            dc, mask, _ = observer.fresh_pass()
+            assert np.array_equal(mask_bits, mask.bits)
+            assert np.array_equal(dc_genes, dc.genes)
+            seen["injection"] += 1
+            return injection(domain, genomes, mask_bits, dc_genes)
+
+        class CandidateChecked:
+            """Checks the candidate row, which follows the crossover
+            children and the mutants, in every generation that makes one."""
+
+            def __init__(self, problem):
+                self.problem = problem
+
+            def domain(self):
+                return self.problem.domain()
+
+            def evaluate_batch(self, genomes):
+                generation = observer.generation
+                if generation is not None and generation.weights[0] == 1.0:
+                    row = genomes[generation.n_cross + generation.n_mut]
+                    assert np.array_equal(row, observer.fresh_pass()[2])
+                    seen["candidate"] += 1
+                return self.problem.evaluate_batch(genomes)
+
+        monkeypatch.setattr(gea.solver, "directed_mutation_batch", checked_directed)
+        monkeypatch.setattr(gea.solver, "gene_injection_batch", checked_injection)
+        for problem in (OneMax(12), VehicleRouting(generate_instance(6, 2, 5))):
+            observer.reset()
+            fit_every_generation(variant, weights, CandidateChecked(problem))
+            # the cache was hit, so reused passes were checked
+            assert len(observer.passes) < GENERATIONS
+        fired = {"mutation": weights is not None or variant == "gea2",
+                 "injection": weights is not None or variant == "gea3",
+                 "candidate": weights is not None or variant == "gea1"}
+        assert seen == {name: 2 * GENERATIONS if fired[name] else 0 for name in seen}
 
 
 class TestStep:
