@@ -5,8 +5,7 @@ mutation and gene injection, plus exact small-instance oracles and a
 reproducible benchmark harness.
 """
 
-from .engineering import (DominantChromosome, PatternMask, RepetitionMatrix,
-                          build_mask, dominant_chromosome, repetition_matrix)
+from .engineering import build_mask, dominant_chromosome, repetition_matrix
 from .genome import DomainKind, GeneDomain
 from .harness import (BatchResult, Benchmark, IntervalRow, StatsRow, compute_stats,
                       confidence_interval, full_benchmark, interval_data, run_batch)
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainKind", "GeneDomain", "Population",
     "init_population",
-    "RepetitionMatrix", "DominantChromosome", "PatternMask",
     "repetition_matrix", "dominant_chromosome", "build_mask",
     "GeaSolver", "VARIANTS",
     "Problem", "OneMax", "Knapsack", "KnapsackInstance", "VehicleRouting",

@@ -278,9 +278,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     wanted = formats(cfg)
     out_dir = output_dir(cfg)
     variants = _split_list(cfg["variants"], "variants")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
     problems = [resolve_problem(token) for token in _split_list(cfg["instances"], "instances")]
     bench = full_benchmark(problems, variants=variants, runs=_to_int(cfg, "runs"),
                            base_seed=_to_int(cfg, "seed"), **solver_params(cfg))

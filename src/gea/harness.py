@@ -180,6 +180,10 @@ def full_benchmark(problems: Sequence, variants: Sequence[str] = VARIANTS,
         repeated = sorted({key for key in keys if keys.count(key) > 1})
         if repeated:
             raise ValueError(f"duplicate {label}: {', '.join(repeated)}")
+    # every variant is checked before the first fit, not when its batch comes up
+    for variant in variants:
+        if variant not in VARIANT_IDS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     results = tuple(
         run_batch(problem, variant=variant, runs=runs, base_seed=base_seed,
                   **solver_params)

@@ -113,9 +113,7 @@ def init_population(problem, size: int, rng: np.random.Generator) -> Population:
     if size < 2:
         raise ValueError(f"population size must be >= 2, got {size}")
     genes = problem.domain().sample_batch(rng, size)
-    costs = _checked_costs(problem.evaluate_batch(genes), size, problem)
-    order = np.argsort(costs, kind="stable")
-    return Population(genes[order], costs[order], presorted=True)
+    return Population(genes, _checked_costs(problem.evaluate_batch(genes), size, problem))
 
 
 def rank_weight_cumsum(size: int) -> np.ndarray:

@@ -57,6 +57,12 @@ _VARIANT_WEIGHTS = {"ga": (0.0, 0.0, 0.0), "gea1": (1.0, 0.0, 0.0),
                     "gea2": (0.0, 1.0, 0.0), "gea3": (0.0, 0.0, 1.0)}
 
 
+def _product(fraction: float, count: int) -> float:
+    """fraction * count rounded to 9 decimals, so that a count rounds the
+    exact product and not its float error (0.07 * 100 is 7.000000000000001)."""
+    return round(fraction * count, 9)
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -81,15 +87,15 @@ class _Generation:
         self.domain = domain
         self.size = size = params.pop_size
         self.cumulative = rank_weight_cumsum(size)
-        self.n_cross = _round_half_up(params.crossover_rate * size)
-        self.n_mut = _round_half_up(params.mutation_rate * size)
-        self.elite_size = max(1, math.ceil(params.elite_fraction * size))
-        self.threshold = math.ceil(params.threshold_fraction * self.elite_size)
+        self.n_cross = _round_half_up(_product(params.crossover_rate, size))
+        self.n_mut = _round_half_up(_product(params.mutation_rate, size))
+        self.elite_size = max(1, math.ceil(_product(params.elite_fraction, size)))
+        self.threshold = math.ceil(_product(params.threshold_fraction, self.elite_size))
         # Python floats, compared with the draws as Python floats
         self.weights = _VARIANT_WEIGHTS.get(params.variant, params.scenario_weights)
         # the last elite pass and the bytes of the elite rows it was computed
         # from; the candidate is made on the first scenario 1 after each pass
-        self.elite_bytes = self.dc = self.mask = self.candidate = None
+        self.elite_bytes = self.dominant = self.mask = self.candidate = None
 
     def step(self, pop: Population, problem, rng: np.random.Generator,
              scheduler_rng: np.random.Generator) -> Population:
@@ -105,10 +111,10 @@ class _Generation:
             elite_bytes = elite.tobytes()
             if elite_bytes != self.elite_bytes:
                 self.elite_bytes = elite_bytes
-                self.dc = dominant_chromosome(repetition_matrix(elite))
-                self.mask = build_mask(self.dc, self.threshold)
+                self.dominant, repeat_counts = dominant_chromosome(repetition_matrix(elite),
+                                                                   elite)
+                self.mask = build_mask(repeat_counts, self.threshold)
                 self.candidate = None
-            dc, mask = self.dc, self.mask
 
         parts: list[np.ndarray] = []
         if self.n_cross > 0:
@@ -124,14 +130,15 @@ class _Generation:
             source_idx = roulette_indices(self.size, self.n_mut, rng, self.cumulative)
             sources = pop.genes[source_idx]
             if run2:
-                parts.append(directed_mutation_batch(self.domain, sources, mask.bits, rng))
+                parts.append(directed_mutation_batch(self.domain, sources, self.mask, rng))
             else:
                 parts.append(mutate_batch(self.domain, sources, rng))
 
         if run1:
             # its template, pop.genes[0], is elite row 0, so it stands with the pass
             if self.candidate is None:
-                self.candidate = dominant_candidate(self.domain, dc, pop.genes[0])[None, :]
+                self.candidate = dominant_candidate(self.domain, self.dominant,
+                                                    pop.genes[0])[None, :]
             parts.append(self.candidate)
         if run3:
             pool = self.size - self.elite_size
@@ -140,7 +147,7 @@ class _Generation:
                 offsets = rng.choice(pool, size=n_inject, replace=False)
                 recipients = pop.genes[self.elite_size + offsets]
                 parts.append(gene_injection_batch(self.domain, recipients,
-                                                  mask.bits, dc.genes))
+                                                  self.mask, self.dominant))
 
         if not parts:
             return pop
@@ -198,7 +205,7 @@ class GeaSolver:
         pop_size = check_int("pop_size", self.pop_size, minimum=2)
         max_iters = check_int("max_iters", self.max_iters, minimum=0)
         elite_fraction = check_fraction("elite_fraction", self.elite_fraction, low_open=True)
-        if elite_fraction * pop_size < 1:
+        if _product(elite_fraction, pop_size) < 1:
             raise ValueError(
                 f"elite_fraction * pop_size must be >= 1, got {elite_fraction * pop_size}"
             )

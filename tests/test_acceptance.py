@@ -103,18 +103,19 @@ def test_criterion_5_operator_invariant_suite():
                 for code in range(2 ** m):
                     column = (code >> np.arange(m)) & 1
                     elite = column[:, None].repeat(length, axis=1)
-                    dc = dominant_chromosome(repetition_matrix(elite))
-                    bits = build_mask(dc, t).bits
-                    expected = (dc.repeat_counts > t) & (t != 0)
-                    violations += int(not np.array_equal(bits.astype(bool), expected))
+                    repeat_counts = dominant_chromosome(repetition_matrix(elite), elite)[1]
+                    mask = build_mask(repeat_counts, t)
+                    expected = (repeat_counts > t) & (t != 0)
+                    violations += int(mask.dtype != bool or not np.array_equal(mask, expected))
             if m * length <= 16:
                 for code in range(2 ** (m * length)):
                     elite = ((code >> np.arange(m * length)) & 1).reshape(m, length)
-                    dc = dominant_chromosome(repetition_matrix(elite))
+                    repeat_counts = dominant_chromosome(repetition_matrix(elite), elite)[1]
                     for t in (0, 1, m // 2, m):
-                        bits = build_mask(dc, t).bits
-                        expected = (dc.repeat_counts > t) & (t != 0)
-                        violations += int(not np.array_equal(bits.astype(bool), expected))
+                        mask = build_mask(repeat_counts, t)
+                        expected = (repeat_counts > t) & (t != 0)
+                        violations += int(mask.dtype != bool
+                                          or not np.array_equal(mask, expected))
 
     # directed mutation never touches masked loci: 1e4 cases per domain
     for domain in (GeneDomain.binary(10), GeneDomain.permutation(8, separators=2)):
@@ -151,7 +152,7 @@ def test_criterion_5_operator_invariant_suite():
         m = int(rng.integers(1, 7))
         length = int(rng.integers(1, 9))
         elite = rng.integers(0, 2, size=(m, length))
-        dc = dominant_chromosome(repetition_matrix(elite))
+        dc_genes, repeat_counts = dominant_chromosome(repetition_matrix(elite), elite)
         for locus in range(length):
             column = elite[:, locus].tolist()
             counts = Counter(column)
@@ -159,8 +160,8 @@ def test_criterion_5_operator_invariant_suite():
             for symbol in column:
                 if counts[symbol] > best_count:
                     best_symbol, best_count = symbol, counts[symbol]
-            violations += int(dc.genes[locus] != best_symbol
-                              or dc.repeat_counts[locus] != best_count)
+            violations += int(dc_genes[locus] != best_symbol
+                              or repeat_counts[locus] != best_count)
 
     ok = violations == 0
     _report(5, "operator invariant suite", ok, f"{violations} violations")

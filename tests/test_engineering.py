@@ -3,12 +3,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gea.engineering import (DominantChromosome, build_mask, directed_mutation_batch,
-                             dominant_candidate, dominant_chromosome, gene_injection_batch,
-                             repetition_matrix)
+from gea.engineering import (build_mask, directed_mutation_batch, dominant_candidate,
+                             dominant_chromosome, gene_injection_batch, repetition_matrix)
 from gea.genome import GeneDomain
 from gea.operators import mutate_batch
 from gea.rng import make_rng
+
+
+def dominant_of(elite):
+    """(genes, repeat counts) of the elite, through the two pass functions."""
+    return dominant_chromosome(repetition_matrix(elite), elite)
+
+
+def entry_count_oracle(elite):
+    """Independent per-entry repeat counts: a Counter per locus column."""
+    elite = np.asarray(elite)
+    columns = [Counter(elite[:, locus].tolist()) for locus in range(elite.shape[1])]
+    return np.array([[columns[locus][symbol] for locus, symbol in enumerate(row)]
+                     for row in elite.tolist()])
 
 
 def majority_oracle(elite):
@@ -29,20 +41,18 @@ def majority_oracle(elite):
 
 class TestRepetitionMatrix:
     def test_counts_example(self):
-        rm = repetition_matrix(np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]]))
-        assert rm.elite_size == 3
-        assert rm.counts[0, 1] == 3 and rm.counts[0, 0] == 0
-        assert rm.counts[1, 0] == 2 and rm.counts[1, 1] == 1
-        assert rm.counts[2, 0] == 2 and rm.counts[2, 1] == 1
-        assert (rm.counts.sum(axis=1) == 3).all()
+        counts = repetition_matrix(np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]]))
+        # locus 0 holds 1 three times; locus 1 holds 0 twice and 1 once;
+        # locus 2 holds 1 once and 0 twice
+        assert counts.tolist() == [[3, 2, 1], [3, 1, 2], [3, 2, 2]]
 
     def test_identical_members(self):
-        rm = repetition_matrix(np.array([[0, 1], [0, 1]]))
-        assert rm.counts[0, 0] == 2 and rm.counts[1, 1] == 2
+        counts = repetition_matrix(np.array([[0, 1], [0, 1]]))
+        assert counts.tolist() == [[2, 2], [2, 2]]
 
     def test_single_member(self):
-        rm = repetition_matrix(np.array([[1, 0]]))
-        assert rm.counts[0, 1] == 1 and rm.counts[1, 0] == 1
+        counts = repetition_matrix(np.array([[1, 0]]))
+        assert counts.tolist() == [[1, 1]]
 
     def test_empty_elite_rejected(self):
         with pytest.raises(ValueError):
@@ -51,22 +61,19 @@ class TestRepetitionMatrix:
 
 class TestDominantChromosome:
     def test_majority_example(self):
-        dc = dominant_chromosome(repetition_matrix(
-            np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]])))
-        assert dc.genes.tolist() == [1, 0, 0]
-        assert dc.repeat_counts.tolist() == [3, 2, 2]
+        genes, repeat_counts = dominant_of(np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]]))
+        assert genes.tolist() == [1, 0, 0]
+        assert repeat_counts.tolist() == [3, 2, 2]
 
     def test_tie_keeps_first_encountered(self):
-        dc = dominant_chromosome(repetition_matrix(np.array([[0], [1]])))
-        assert dc.genes.tolist() == [0]
-        dc = dominant_chromosome(repetition_matrix(np.array([[1], [0]])))
-        assert dc.genes.tolist() == [1]
+        assert dominant_of(np.array([[0], [1]]))[0].tolist() == [0]
+        assert dominant_of(np.array([[1], [0]]))[0].tolist() == [1]
 
     def test_identical_elite(self):
         g = np.array([2, 1, 3])
-        dc = dominant_chromosome(repetition_matrix(np.stack([g, g, g])))
-        assert dc.genes.tolist() == g.tolist()
-        assert dc.repeat_counts.tolist() == [3, 3, 3]
+        genes, repeat_counts = dominant_of(np.stack([g, g, g]))
+        assert genes.tolist() == g.tolist()
+        assert repeat_counts.tolist() == [3, 3, 3]
 
     def test_matches_independent_oracle(self):
         rng = make_rng(99)
@@ -85,25 +92,28 @@ class TestDominantChromosome:
                     for row in elite:
                         i, j = rng.choice(dom.length, size=2, replace=False)
                         row[[i, j]] = row[[j, i]]
-            dc = dominant_chromosome(repetition_matrix(elite))
+            entry_counts = repetition_matrix(elite)
+            assert np.array_equal(entry_counts, entry_count_oracle(elite))
+            dc_genes, repeat_counts = dominant_chromosome(entry_counts, elite)
             genes, repeats = majority_oracle(elite)
-            assert np.array_equal(dc.genes, genes)
-            assert np.array_equal(dc.repeat_counts, repeats)
+            assert np.array_equal(dc_genes, genes)
+            assert np.array_equal(repeat_counts, repeats)
 
 
 class TestBuildMask:
     def test_strict_threshold(self):
-        dc = DominantChromosome(np.array([1, 0, 0]), np.array([3, 2, 2]))
-        assert build_mask(dc, 2).bits.tolist() == [1, 0, 0]
+        mask = build_mask(np.array([3, 2, 2]), 2)
+        assert mask.dtype == bool
+        assert mask.tolist() == [True, False, False]
 
     def test_zero_threshold_disables_mask(self):
-        dc = DominantChromosome(np.array([1, 1]), np.array([5, 9]))
-        assert build_mask(dc, 0).bits.tolist() == [0, 0]
+        mask = build_mask(np.array([5, 9]), 0)
+        assert mask.dtype == bool
+        assert mask.tolist() == [False, False]
 
     def test_negative_threshold_rejected(self):
-        dc = DominantChromosome(np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
-            build_mask(dc, -1)
+            build_mask(np.array([1]), -1)
 
     def test_exhaustive_small_elites(self):
         # the mask is locus-separable: every elite column of height M <= 4 is
@@ -115,19 +125,20 @@ class TestBuildMask:
                 for t in range(0, m + 2):
                     for code, column in enumerate(columns):
                         elite = column[:, None].repeat(length, axis=1)
-                        dc = dominant_chromosome(repetition_matrix(elite))
-                        mask = build_mask(dc, t)
-                        expected = int(dc.repeat_counts[0] > t and t != 0)
-                        assert (mask.bits == expected).all()
+                        repeat_counts = dominant_of(elite)[1]
+                        mask = build_mask(repeat_counts, t)
+                        expected = bool(repeat_counts[0] > t and t != 0)
+                        assert (mask == expected).all()
                 if m * length <= 16:
                     for code in range(2 ** (m * length)):
                         bits = (code >> np.arange(m * length)) & 1
                         elite = bits.reshape(m, length)
-                        dc = dominant_chromosome(repetition_matrix(elite))
+                        repeat_counts = dominant_of(elite)[1]
                         for t in (0, 1, m // 2, m):
-                            mask = build_mask(dc, t)
-                            expected = (dc.repeat_counts > t) & (t != 0)
-                            assert np.array_equal(mask.bits.astype(bool), expected)
+                            mask = build_mask(repeat_counts, t)
+                            expected = (repeat_counts > t) & (t != 0)
+                            assert mask.dtype == bool
+                            assert np.array_equal(mask, expected)
 
 
 class TestDirectedMutation:
@@ -239,6 +250,23 @@ class TestGeneInjection:
                                   np.tile(pdc[masked], (100, 1)))
 
 
+class TestMaskReading:
+    @pytest.mark.parametrize("kind", ["binary", "permutation"])
+    def test_nonzero_entry_is_fixed_in_both_kernels(self, kind):
+        # both kernels read the mask as bool, so an entry of 2 fixes its locus
+        # exactly as True does
+        dom = GeneDomain.binary(6) if kind == "binary" else GeneDomain.permutation(6)
+        genomes = dom.sample_batch(make_rng(5), 50)
+        dc_genes = dom.sample(make_rng(6))
+        twos = np.array([2, 0, 0, 2, 0, 0])
+        fixed = twos != 0
+        assert np.array_equal(directed_mutation_batch(dom, genomes, twos, make_rng(7)),
+                              directed_mutation_batch(dom, genomes, fixed, make_rng(7)))
+        injected = gene_injection_batch(dom, genomes, twos, dc_genes)
+        assert np.array_equal(injected, gene_injection_batch(dom, genomes, fixed, dc_genes))
+        assert (injected[:, fixed] == dc_genes[fixed]).all()
+
+
 class TestRepairPermutation:
     # the one permutation repair, reached through gene injection: masked
     # loci keep their dominant symbols, the others are filled in source order
@@ -262,14 +290,13 @@ class TestRepairPermutation:
 class TestDominantCandidate:
     def test_binary_candidate_is_dc(self):
         dom = GeneDomain.binary(3)
-        dc = DominantChromosome(np.array([1, 0, 1]), np.array([2, 2, 2]))
-        assert dominant_candidate(dom, dc, np.array([0, 0, 0])).tolist() == [1, 0, 1]
+        assert dominant_candidate(dom, np.array([1, 0, 1]),
+                                  np.array([0, 0, 0])).tolist() == [1, 0, 1]
 
     def test_permutation_candidate_repaired(self):
         dom = GeneDomain.permutation(4)
-        dc = DominantChromosome(np.array([2, 2, 1, 1]), np.array([3, 2, 2, 3]))
         template = np.array([4, 3, 2, 1])
-        out = dominant_candidate(dom, dc, template)
+        out = dominant_candidate(dom, np.array([2, 2, 1, 1]), template)
         # first occurrences fixed: locus 0 := 2, locus 2 := 1; fill 4,3 in template order
         assert out.tolist() == [2, 4, 1, 3]
         assert dom.contains(out)
@@ -293,8 +320,7 @@ class TestDominantCandidate:
                 genes = dom.sample(rng)  # already a valid genome
             else:
                 genes = rng.choice(dom.alphabet, size=dom.length)
-            dc = DominantChromosome(genes, np.ones(dom.length, dtype=np.int64))
             template = dom.sample(rng)
-            out = dominant_candidate(dom, dc, template)
+            out = dominant_candidate(dom, genes, template)
             assert out.tolist() == repair(genes.tolist(), template.tolist())
             assert dom.contains(out)

@@ -5,6 +5,7 @@ from gea.harness import (BatchResult, Benchmark, compute_stats, confidence_inter
                          full_benchmark, interval_data, run_batch)
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import derive_run_seed
+from gea.solver import GeaSolver
 
 
 class TestComputeStats:
@@ -175,6 +176,19 @@ class TestFullBenchmark:
             full_benchmark(twins, variants=("ga",), runs=1, max_iters=2)
         with pytest.raises(ValueError, match="duplicate variants: gea"):
             full_benchmark([OneMax(4)], variants=("gea", "ga", "gea"), runs=1, max_iters=2)
+
+    def test_unknown_variant_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        fit = GeaSolver.fit
+
+        def counted(solver, problem):
+            fits.append(solver.variant)
+            return fit(solver, problem)
+
+        monkeypatch.setattr(GeaSolver, "fit", counted)
+        with pytest.raises(ValueError, match="'bogus'"):
+            full_benchmark([OneMax(4)], variants=("ga", "bogus"), runs=2, max_iters=2)
+        assert fits == []
 
     def test_smoke_suite_is_fast(self):
         import time

@@ -6,7 +6,7 @@ from gea import engineering
 from gea.population import Population, init_population, row_keys
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
-from gea.solver import VARIANTS, GeaSolver, _Generation
+from gea.solver import VARIANTS, GeaSolver, _Generation, _Params
 
 
 class TestEstimatorProtocol:
@@ -140,6 +140,48 @@ class TestFit:
             assert np.array_equal(a.best_genes_, b.best_genes_)
 
 
+def elite_fraction_accepted(pop_size, elite_fraction):
+    try:
+        GeaSolver(pop_size=pop_size, elite_fraction=elite_fraction)._checked_params()
+    except ValueError:
+        return False
+    return True
+
+
+class TestCounts:
+    def test_counts_round_the_exact_product(self, monkeypatch):
+        # every fraction k/100 and k/1000 at every pop from 2 to 300, against
+        # integer arithmetic on k * pop / d: half up for the crossover and
+        # mutation counts, the ceiling for the elite size and the threshold,
+        # and the elite check accepts exactly k * pop >= d. Unrounded float
+        # products miss these, e.g. 0.07 * 100 = 7.000000000000001. Each k/100
+        # is the same float as 10k/1000, so the dict holds 1001 fractions
+        fractions = {k / d: (k, d) for d in (100, 1000) for k in range(d + 1)}
+        # the roulette table is most of a _Generation's setup and no count
+        monkeypatch.setattr(gea.solver, "rank_weight_cumsum", lambda size: None)
+        for fraction, (k, d) in fractions.items():
+            for pop in range(2, 301):
+                params = _Params("gea", pop, 0, fraction, fraction, fraction, fraction,
+                                 (0.5, 0.5, 0.2), 0)
+                generation = _Generation(params, None)
+                half_up = (2 * k * pop + d) // (2 * d)
+                elite = max(1, -(-k * pop // d))
+                counts = (generation.n_cross, generation.n_mut,
+                          generation.elite_size, generation.threshold)
+                assert counts == (half_up, half_up, elite, -(-k * elite // d)), (k, d, pop)
+                assert elite_fraction_accepted(pop, fraction) == (k * pop >= d), (k, d, pop)
+
+    @pytest.mark.parametrize("params,attribute,count", [
+        ({"pop_size": 100, "elite_fraction": 0.07}, "elite_size", 7),
+        ({"pop_size": 25, "elite_fraction": 1.0, "threshold_fraction": 0.28}, "threshold", 7),
+        ({"pop_size": 25, "crossover_rate": 0.58}, "n_cross", 15),
+        ({"pop_size": 100, "mutation_rate": 0.145}, "n_mut", 15),
+    ])
+    def test_fit_counts(self, params, attribute, count):
+        generation = _Generation(GeaSolver(**params)._checked_params(), None)
+        assert getattr(generation, attribute) == count
+
+
 class EliteObserver:
     """Wraps `_Generation.step` to see each generation's elite, counts the
     generations whose elite differs from the elite of the last pass, and
@@ -171,11 +213,13 @@ class EliteObserver:
         self.passes = []
 
     def fresh_pass(self):
-        """Dominant chromosome, mask and candidate recomputed on this generation's elite."""
-        dc = engineering.dominant_chromosome(engineering.repetition_matrix(self.elite))
-        mask = engineering.build_mask(dc, self.generation.threshold)
-        candidate = engineering.dominant_candidate(self.generation.domain, dc, self.elite[0])
-        return dc, mask, candidate
+        """Dominant genes, mask and candidate recomputed on this generation's elite."""
+        dominant, repeat_counts = engineering.dominant_chromosome(
+            engineering.repetition_matrix(self.elite), self.elite)
+        mask = engineering.build_mask(repeat_counts, self.generation.threshold)
+        candidate = engineering.dominant_candidate(self.generation.domain, dominant,
+                                                   self.elite[0])
+        return dominant, mask, candidate
 
 
 # every scenario gate fires in every generation
@@ -232,17 +276,19 @@ class TestElitePass:
         seen = {"mutation": 0, "injection": 0, "candidate": 0}
         directed, injection = gea.solver.directed_mutation_batch, gea.solver.gene_injection_batch
 
-        def checked_directed(domain, genomes, mask_bits, rng):
-            assert np.array_equal(mask_bits, observer.fresh_pass()[1].bits)
+        def checked_directed(domain, genomes, mask, rng):
+            assert mask.dtype == bool
+            assert np.array_equal(mask, observer.fresh_pass()[1])
             seen["mutation"] += 1
-            return directed(domain, genomes, mask_bits, rng)
+            return directed(domain, genomes, mask, rng)
 
-        def checked_injection(domain, genomes, mask_bits, dc_genes):
-            dc, mask, _ = observer.fresh_pass()
-            assert np.array_equal(mask_bits, mask.bits)
-            assert np.array_equal(dc_genes, dc.genes)
+        def checked_injection(domain, genomes, mask, dc_genes):
+            dominant, fresh_mask, _ = observer.fresh_pass()
+            assert mask.dtype == bool
+            assert np.array_equal(mask, fresh_mask)
+            assert np.array_equal(dc_genes, dominant)
             seen["injection"] += 1
-            return injection(domain, genomes, mask_bits, dc_genes)
+            return injection(domain, genomes, mask, dc_genes)
 
         class CandidateChecked:
             """Checks the candidate row, which follows the crossover
