@@ -256,8 +256,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     wanted = formats(cfg)
     out_dir = output_dir(cfg)
     variant = cfg["variant"]
-    if variant not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
     problem = resolve_problem(cfg["instance"])
     batch = run_batch(problem, variant=variant, runs=_to_int(cfg, "runs"),
                       base_seed=_to_int(cfg, "seed"), **solver_params(cfg))

@@ -103,9 +103,8 @@ def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
     segment's symbols are set with one 1-D index, and fill_parent's symbols
     are looked up with one `take`. The child starts as a copy of seg_parent,
     and its loci outside the segment take fill_parent's other symbols, in
-    fill_parent's order. Both sides of that compaction are flat row-major
-    positions (`flatnonzero` of each mask) on the raveled matrices, the same
-    order a 2-D boolean index walks, so the child is unchanged.
+    fill_parent's order: one 2-D boolean compaction on each side, both
+    walking row-major order.
     """
     m, length = seg_parent.shape
     pos_type = np.min_scalar_type(length)
@@ -120,6 +119,5 @@ def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
     # each row has as many loci outside the segment as symbols absent from
     # it, so the row-major compaction lines up row by row
     child = seg_parent.copy()
-    child.ravel()[np.flatnonzero(~in_segment)] = \
-        fill_parent.ravel().take(np.flatnonzero(~fill_in_segment))
+    child[~in_segment] = fill_parent[~fill_in_segment]
     return child

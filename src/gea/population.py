@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -12,9 +14,11 @@ class Population:
     `GeneDomain.dtype` in a fit), plus a cost vector; row i is the i-th best
     genome. Costs are checked to be one finite number per row and sorted,
     unless `presorted` says they already are: checked float64, ascending.
+    Each row's 64-bit fingerprint is computed once, here, and kept beside it
+    for survivor dedup, so the gene matrix is not to be written in place.
     """
 
-    __slots__ = ("genes", "costs")
+    __slots__ = ("genes", "costs", "_fingerprints")
 
     def __init__(self, genes: np.ndarray, costs: np.ndarray, presorted: bool = False):
         genes = np.asarray(genes)
@@ -28,6 +32,15 @@ class Population:
             genes, costs = genes[order], costs[order]
         self.genes = genes
         self.costs = costs
+        self._fingerprints = _row_fingerprints(genes)
+
+    @classmethod
+    def _kept(cls, genes: np.ndarray, costs: np.ndarray,
+              fingerprints: np.ndarray) -> "Population":
+        """Rows already sorted and checked, with their fingerprints carried over."""
+        pop = cls.__new__(cls)
+        pop.genes, pop.costs, pop._fingerprints = genes, costs, fingerprints
+        return pop
 
     def __len__(self) -> int:
         return self.genes.shape[0]
@@ -45,28 +58,96 @@ class Population:
         Duplicate genomes are suppressed while distinct ones are available,
         so selection pressure cannot collapse the pool into copies of one
         solution; duplicates fill the remainder only in tiny domains.
-        Distinctness is exact genome equality, checked on the compact
-        per-row key of `row_keys`. Offspring costs are taken as checked
-        (a fit checks them as the problem returns them).
+        Distinctness is exact genome equality. Rows are grouped by a stable
+        sort of their 64-bit fingerprints taken in cost order, so each group
+        is led by its first row in cost order; only the offspring are
+        fingerprinted, since parents keep theirs. Each pair of neighbours
+        with equal fingerprints is checked for equal genes, and a call where
+        one pair differs (a fingerprint collision) dedups on the exact keys
+        of `row_keys` instead. Offspring costs are taken as checked (a fit
+        checks them as the problem returns them).
         """
         if offspring_genes.shape[0] == 0:
             return self
+        size = len(self)
         genes = np.concatenate([self.genes, offspring_genes])
         costs = np.concatenate([self.costs, np.asarray(offspring_costs, dtype=np.float64)])
         order = np.argsort(costs, kind="stable")
+        # fingerprints hash row bytes, so they are comparable in one dtype only
+        if genes.dtype == self.genes.dtype:
+            prints = np.concatenate([self._fingerprints, _row_fingerprints(genes[size:])])
+        else:
+            prints = _row_fingerprints(genes)
 
         # ranks index the cost order; only the kept rows are ever gathered
-        size = len(self)
-        first_ranks = np.unique(row_keys(genes)[order], return_index=True)[1]
+        is_first = _first_in_cost_order(genes, order, prints)
+        first_ranks = np.flatnonzero(is_first)
         if first_ranks.size >= size:
-            keep = np.sort(first_ranks)[:size]
+            keep = first_ranks[:size]
         else:
-            is_first = np.zeros(order.size, dtype=bool)
-            is_first[first_ranks] = True
             duplicates = np.flatnonzero(~is_first)[: size - first_ranks.size]
-            keep = np.sort(np.concatenate([np.flatnonzero(is_first), duplicates]))
+            keep = np.sort(np.concatenate([first_ranks, duplicates]))
         rows = order[keep]
-        return Population(genes[rows], costs[rows], presorted=True)
+        return Population._kept(genes.take(rows, axis=0), costs[rows], prints[rows])
+
+
+def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,
+                         prints: np.ndarray) -> np.ndarray:
+    """Bool mask over the ranks of `order`: True where the row at that rank
+    is the first of its genome in cost order.
+
+    A stable argsort of the fingerprints in rank order puts equal rows next
+    to each other, lowest rank first. Checking the genes of every neighbour
+    pair with equal fingerprints for equal bytes makes the grouping exact;
+    if one pair differs, the mask comes from `np.unique` on the rows' exact
+    keys.
+    """
+    ranked = prints[order]
+    by_print = np.argsort(ranked, kind="stable")
+    sorted_prints = ranked[by_print]
+    repeat = sorted_prints[1:] == sorted_prints[:-1]
+    is_first = np.ones(order.size, dtype=bool)
+    if repeat.any():
+        rows = order[by_print]
+        if (genes.take(rows[:-1][repeat], axis=0).tobytes()
+                != genes.take(rows[1:][repeat], axis=0).tobytes()):
+            # a fingerprint collision: this call dedups on the exact keys
+            is_first = np.zeros(order.size, dtype=bool)
+            is_first[np.unique(row_keys(genes)[order], return_index=True)[1]] = True
+            return is_first
+        is_first[by_print[1:][repeat]] = False
+    return is_first
+
+
+def _row_fingerprints(genes: np.ndarray) -> np.ndarray:
+    """One uint64 fingerprint per row of bytes; equal rows get equal ones.
+
+    Each row's bytes, zero-padded to whole 4-byte words, are read as uint32
+    words and summed with one fixed odd 64-bit multiplier per word, modulo
+    2**64: one integer matmul. Rows that differ in one word never collide,
+    since an odd multiplier of a nonzero difference below 2**32 is never
+    0 modulo 2**64. (With 64-bit words, two rows differing only in the top
+    byte of two words collide whenever the two multipliers agree in their
+    low 8 bits.) Distinct rows can still collide, so callers check equal
+    fingerprints against the genes.
+    """
+    data = np.ascontiguousarray(genes).view(np.uint8)
+    rows, width = data.shape
+    words = -(-width // 4)
+    if width % 4:
+        padded = np.zeros((rows, 4 * words), dtype=np.uint8)
+        padded[:, :width] = data
+        data = padded
+    return data.view(np.uint32) @ _fingerprint_multipliers(words)
+
+
+@functools.lru_cache(maxsize=16)
+def _fingerprint_multipliers(words: int) -> np.ndarray:
+    """The fixed odd uint64 multipliers for rows of `words` 4-byte words."""
+    table = np.random.default_rng(words).integers(0, 2**64, size=words, dtype=np.uint64)
+    table |= np.uint64(1)
+    table.flags.writeable = False
+    return table
 
 
 def row_keys(genes: np.ndarray) -> np.ndarray:
@@ -77,7 +158,9 @@ def row_keys(genes: np.ndarray) -> np.ndarray:
     Sorting short keys is what makes `np.unique` cheaper than on raw rows.
     Bits are packed from a copy zero-padded to whole bytes per row, raveled
     once: the same key bytes as `np.packbits(genes, axis=1)`, which pads
-    each row's last byte with zeros too, from one flat pass.
+    each row's last byte with zeros too, from one flat pass. Survivor
+    selection dedups on these exact keys only in a call where two distinct
+    rows share a fingerprint.
     """
     if genes.dtype == np.uint8 and genes.max() <= 1:
         rows, length = genes.shape

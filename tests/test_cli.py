@@ -142,9 +142,13 @@ class TestRun:
                      "--runs", "1", "--iters", "3", "--pop", "8"]) == 0
         assert (tmp_path / "env-out" / "results.csv").exists()
 
-    def test_bad_variant_exit_1(self, capsys):
+    def test_bad_variant_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GEA_OUT_DIR", raising=False)
         assert main(["run", "--variant", "nope", "--instance", "f1"]) == 1
         assert "variant" in capsys.readouterr().err
+        # rejected before any fit, so no output directory was made
+        assert list(tmp_path.iterdir()) == []
 
     def test_instance_file_path(self, tmp_path):
         inst_path = write_line_instance(tmp_path / "line.txt")

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+import gea.population
 from gea.genome import GeneDomain
-from gea.population import Population, init_population, roulette_indices, row_keys
-from gea.problems import OneMax, VehicleRouting, generate_instance
+from gea.population import (Population, _row_fingerprints, init_population, roulette_indices,
+                            row_keys)
+from gea.problems import (Knapsack, OneMax, VehicleRouting, generate_instance,
+                          generate_knapsack_instance, standard_suite)
 from gea.rng import make_rng
+from gea.solver import GeaSolver
+
+REFERENCE_CASES = ["binary-1", "binary-7", "binary-9", "binary-250", "permutation",
+                   "differ-by-256", "above-65535", "negative"]
 
 
 def pop_from_costs(costs, length=3):
@@ -29,6 +36,34 @@ def reference_survivors(pop, offspring_genes, offspring_costs):
     kept = sorted(kept + duplicates[: len(pop) - len(kept)])
     rows = [order[rank] for rank in kept]
     return genes[rows], costs[rows]
+
+
+def check_reference_cases(case):
+    """60 random select_survivors calls of one case against the loop reference."""
+    rng = make_rng(11)
+    for trial in range(60):
+        if case.startswith("binary"):
+            draw = GeneDomain.binary(int(case.split("-")[1])).sample_batch
+        elif case == "permutation":
+            draw = GeneDomain.permutation(6 + trial % 25, 1 + trial % 4).sample_batch
+        else:
+            alphabet = {"differ-by-256": [0, 1, 256, 257],
+                        "above-65535": [1, 2, 65536, 65537, 2**40],
+                        "negative": [-1, 0, 1, 255]}[case]
+            draw = lambda r, n: r.choice(alphabet, size=(n, 2 + trial % 3))
+        # few templates and few cost levels: duplicates and cost ties abound,
+        # and capacity often exceeds the distinct count
+        templates = draw(rng, 1 + trial % 12)
+        size, n_offspring = 2 + trial % 9, trial % 7
+        pop = Population(templates[rng.integers(0, len(templates), size)],
+                         rng.integers(0, 4, size).astype(float))
+        offspring = templates[rng.integers(0, len(templates), n_offspring)]
+        offspring_costs = rng.integers(0, 4, n_offspring).astype(float)
+        out = pop.select_survivors(offspring, offspring_costs)
+        genes, costs = (reference_survivors(pop, offspring, offspring_costs)
+                        if n_offspring else (pop.genes, pop.costs))
+        assert np.array_equal(out.genes, genes)
+        assert np.array_equal(out.costs, costs)
 
 
 class TestPopulation:
@@ -135,35 +170,109 @@ class TestSurvivorSelect:
             assert (np.diff(pop.costs) >= 0).all()
             assert len(pop) == 10
 
-    @pytest.mark.parametrize("case", [
-        "binary-1", "binary-7", "binary-9", "binary-250", "permutation",
-        "differ-by-256", "above-65535", "negative",
-    ])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_reference_loop(self, case):
-        rng = make_rng(11)
-        for trial in range(60):
-            if case.startswith("binary"):
-                draw = GeneDomain.binary(int(case.split("-")[1])).sample_batch
-            elif case == "permutation":
-                draw = GeneDomain.permutation(6 + trial % 25, 1 + trial % 4).sample_batch
-            else:
-                alphabet = {"differ-by-256": [0, 1, 256, 257],
-                            "above-65535": [1, 2, 65536, 65537, 2**40],
-                            "negative": [-1, 0, 1, 255]}[case]
-                draw = lambda r, n: r.choice(alphabet, size=(n, 2 + trial % 3))
-            # few templates and few cost levels: duplicates and cost ties abound,
-            # and capacity often exceeds the distinct count
-            templates = draw(rng, 1 + trial % 12)
-            size, n_offspring = 2 + trial % 9, trial % 7
-            pop = Population(templates[rng.integers(0, len(templates), size)],
-                             rng.integers(0, 4, size).astype(float))
-            offspring = templates[rng.integers(0, len(templates), n_offspring)]
-            offspring_costs = rng.integers(0, 4, n_offspring).astype(float)
-            out = pop.select_survivors(offspring, offspring_costs)
-            genes, costs = (reference_survivors(pop, offspring, offspring_costs)
-                            if n_offspring else (pop.genes, pop.costs))
-            assert np.array_equal(out.genes, genes)
-            assert np.array_equal(out.costs, costs)
+        check_reference_cases(case)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_fingerprint_collisions_fall_back_to_exact_keys(self, monkeypatch, case):
+        # every row shares one fingerprint, so every call with two distinct
+        # genomes among parents and offspring must dedup on the exact keys
+        keyed = []
+
+        def spied_row_keys(genes):
+            keyed.append(genes.shape[0])
+            return row_keys(genes)
+
+        monkeypatch.setattr(gea.population, "_row_fingerprints",
+                            lambda genes: np.zeros(genes.shape[0], dtype=np.uint64))
+        monkeypatch.setattr(gea.population, "row_keys", spied_row_keys)
+        check_reference_cases(case)
+        assert keyed
+
+    def test_fingerprint_collisions_keep_a_fit(self, monkeypatch):
+        problem = VehicleRouting(next(inst for inst in standard_suite() if inst.name == "f4"))
+
+        def fit():
+            return GeaSolver(variant="gea", pop_size=30, max_iters=40, seed=3).fit(problem)
+
+        honest = fit()
+        monkeypatch.setattr(gea.population, "_row_fingerprints",
+                            lambda genes: np.zeros(genes.shape[0], dtype=np.uint64))
+        colliding = fit()
+        assert np.array_equal(colliding.trace_, honest.trace_)
+        assert np.array_equal(colliding.best_genes_, honest.best_genes_)
+        assert np.array_equal(colliding.population_.genes, honest.population_.genes)
+        assert np.array_equal(colliding.population_.costs, honest.population_.costs)
+
+    def test_mixed_dtypes_match_reference_loop(self):
+        rng = make_rng(5)
+        for trial in range(40):
+            length = 1 + trial % 9
+            members = rng.integers(0, 3, size=(2 + trial % 7, length)).astype(np.uint8)
+            pop = Population(members, rng.integers(0, 4, members.shape[0]).astype(float))
+            for dtype in (np.uint16, np.int64):
+                copies = pop.genes[rng.integers(0, len(pop), 1 + trial % 4)]
+                fresh = rng.integers(0, 3, size=(trial % 5, length))
+                offspring = np.concatenate([copies, fresh]).astype(dtype)
+                offspring_costs = rng.integers(0, 4, offspring.shape[0]).astype(float)
+                out = pop.select_survivors(offspring, offspring_costs)
+                genes, costs = reference_survivors(pop, offspring, offspring_costs)
+                assert out.genes.dtype == genes.dtype == dtype
+                assert np.array_equal(out.genes, genes)
+                assert np.array_equal(out.costs, costs)
+                assert np.array_equal(out._fingerprints, _row_fingerprints(out.genes))
+
+    @pytest.mark.parametrize("problem", [
+        OneMax(13),
+        Knapsack(generate_knapsack_instance(37, 2)),
+        VehicleRouting(generate_instance(30, 4, 1)),
+        VehicleRouting(generate_instance(290, 12, 1)),
+    ], ids=["onemax", "knapsack", "routing-uint8", "routing-uint16"])
+    def test_kept_fingerprints_match_the_genes(self, monkeypatch, problem):
+        dtype = problem.domain().dtype
+        assert dtype == (np.uint16 if problem.domain().length > 255 else np.uint8)
+        survivors = Population.select_survivors
+        checked = []
+
+        def checked_survivors(pop, offspring_genes, offspring_costs):
+            out = survivors(pop, offspring_genes, offspring_costs)
+            assert out.genes.dtype == dtype
+            assert np.array_equal(out._fingerprints, _row_fingerprints(out.genes))
+            checked.append(len(out))
+            return out
+
+        def no_exact_keys(genes):
+            raise AssertionError("row_keys ran without a fingerprint collision")
+
+        monkeypatch.setattr(Population, "select_survivors", checked_survivors)
+        monkeypatch.setattr(gea.population, "row_keys", no_exact_keys)
+        solver = GeaSolver(variant="gea", pop_size=20, max_iters=30, seed=2).fit(problem)
+        assert len(checked) == 30
+        pop = solver.population_
+        assert np.array_equal(pop._fingerprints, _row_fingerprints(pop.genes))
+
+    @pytest.mark.parametrize("width", [4, 8, 12, 20, 36])
+    def test_two_word_top_byte_differences_get_distinct_fingerprints(self, width):
+        # with 64-bit words such a pair collides whenever the two constants
+        # agree in their low 8 bits; with 32-bit words, a collision needs
+        # a1 * c1 + a2 * c2 to be 0 modulo 2**40
+        base = np.zeros(width, dtype=np.uint8)
+        rows = [base]
+        for first in range(3, width, 4):
+            for second in range(first + 4, width, 4):
+                for a in (1, 128, 255):
+                    for b in (1, 127, 255):
+                        row = base.copy()
+                        row[first], row[second] = a, b
+                        rows.append(row)
+        for locus in range(width):
+            for value in (1, 255):
+                row = base.copy()
+                row[locus] = value
+                rows.append(row)
+        prints = _row_fingerprints(np.array(rows))
+        assert np.unique(prints).size == len(rows)
 
     @pytest.mark.parametrize("length", [1, 7, 8, 9, 300])
     def test_binary_keys_are_packbits_bytes(self, length):
