@@ -12,31 +12,27 @@ class Population:
 
     A (size, L) gene matrix, kept in the dtype it is given (the domain's
     `GeneDomain.dtype` in a fit), plus a cost vector; row i is the i-th best
-    genome. Costs are checked to be one finite number per row and sorted,
-    unless `presorted` says they already are: checked float64, ascending.
-    Each row's 64-bit fingerprint is computed once, here, and kept beside it
-    for survivor dedup, so the gene matrix is not to be written in place.
+    genome. Costs are checked to be one finite number per row and stably
+    sorted; survivors enter through the private `_kept`, sorted and checked.
+    Each row's 64-bit fingerprint is computed once, when it enters, and kept
+    beside it for survivor dedup, so the gene matrix is not to be written in place.
     """
 
     __slots__ = ("genes", "costs", "_fingerprints")
 
-    def __init__(self, genes: np.ndarray, costs: np.ndarray, presorted: bool = False):
+    def __init__(self, genes: np.ndarray, costs: np.ndarray):
         genes = np.asarray(genes)
         if genes.ndim != 2:
             raise ValueError(f"genes must be a (size, L) matrix, got shape {genes.shape}")
         if genes.shape[0] == 0:
             raise ValueError("population cannot be empty")
-        if not presorted:
-            costs = _checked_costs(costs, genes.shape[0])
-            order = np.argsort(costs, kind="stable")
-            genes, costs = genes[order], costs[order]
-        self.genes = genes
-        self.costs = costs
-        self._fingerprints = _row_fingerprints(genes)
+        costs = _checked_costs(costs, genes.shape[0])
+        order = np.argsort(costs, kind="stable")
+        self.genes, self.costs = genes[order], costs[order]
+        self._fingerprints = _row_fingerprints(self.genes)
 
     @classmethod
-    def _kept(cls, genes: np.ndarray, costs: np.ndarray,
-              fingerprints: np.ndarray) -> "Population":
+    def _kept(cls, genes: np.ndarray, costs: np.ndarray, fingerprints: np.ndarray) -> "Population":
         """Rows already sorted and checked, with their fingerprints carried over."""
         pop = cls.__new__(cls)
         pop.genes, pop.costs, pop._fingerprints = genes, costs, fingerprints
@@ -58,20 +54,21 @@ class Population:
         Duplicate genomes are suppressed while distinct ones are available,
         so selection pressure cannot collapse the pool into copies of one
         solution; duplicates fill the remainder only in tiny domains.
-        Distinctness is exact genome equality. Rows are grouped by a stable
-        sort of their 64-bit fingerprints taken in cost order, so each group
-        is led by its first row in cost order; only the offspring are
-        fingerprinted, since parents keep theirs. Each pair of neighbours
-        with equal fingerprints is checked for equal genes, and a call where
-        one pair differs (a fingerprint collision) dedups on the exact keys
-        of `row_keys` instead. Offspring costs are taken as checked (a fit
-        checks them as the problem returns them).
+        Distinctness is exact genome equality (`_first_in_cost_order`); only
+        the offspring are fingerprinted, since parents keep theirs. Offspring
+        come as an (m, L) matrix and m costs, taken as finite (a fit checks
+        them as the problem returns them).
         """
-        if offspring_genes.shape[0] == 0:
+        offspring_costs = np.asarray(offspring_costs, dtype=np.float64)
+        shape, loci = offspring_genes.shape, self.genes.shape[1]
+        if shape[1:] != (loci,) or offspring_costs.shape != shape[:1]:
+            raise ValueError(f"Population of {loci} loci: offspring genes of shape {shape} "
+                             f"and costs of shape {offspring_costs.shape} do not match")
+        if shape[0] == 0:
             return self
         size = len(self)
         genes = np.concatenate([self.genes, offspring_genes])
-        costs = np.concatenate([self.costs, np.asarray(offspring_costs, dtype=np.float64)])
+        costs = np.concatenate([self.costs, offspring_costs])
         order = np.argsort(costs, kind="stable")
         # fingerprints hash row bytes, so they are comparable in one dtype only
         if genes.dtype == self.genes.dtype:
@@ -99,8 +96,7 @@ def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,
     A stable argsort of the fingerprints in rank order puts equal rows next
     to each other, lowest rank first. Checking the genes of every neighbour
     pair with equal fingerprints for equal bytes makes the grouping exact;
-    if one pair differs, the mask comes from `np.unique` on the rows' exact
-    keys.
+    a collision (one pair differs) takes `_exact_first_in_cost_order`.
     """
     ranked = prints[order]
     by_print = np.argsort(ranked, kind="stable")
@@ -111,11 +107,16 @@ def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,
         rows = order[by_print]
         if (genes.take(rows[:-1][repeat], axis=0).tobytes()
                 != genes.take(rows[1:][repeat], axis=0).tobytes()):
-            # a fingerprint collision: this call dedups on the exact keys
-            is_first = np.zeros(order.size, dtype=bool)
-            is_first[np.unique(row_keys(genes)[order], return_index=True)[1]] = True
-            return is_first
+            return _exact_first_in_cost_order(genes, order)
         is_first[by_print[1:][repeat]] = False
+    return is_first
+
+
+def _exact_first_in_cost_order(genes: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`_first_in_cost_order` by `np.unique` on the rows in cost order, which
+    sorts stably when asked for indices: each genome's index is its first rank."""
+    is_first = np.zeros(order.size, dtype=bool)
+    is_first[np.unique(genes.take(order, axis=0), axis=0, return_index=True)[1]] = True
     return is_first
 
 
@@ -148,27 +149,6 @@ def _fingerprint_multipliers(words: int) -> np.ndarray:
     table |= np.uint64(1)
     table.flags.writeable = False
     return table
-
-
-def row_keys(genes: np.ndarray) -> np.ndarray:
-    """One opaque byte key per row; two keys are equal iff their rows are.
-
-    The key is the bytes the row is stored in (one per locus for a uint8
-    matrix), or its packed bits when a uint8 matrix holds only 0 and 1.
-    Sorting short keys is what makes `np.unique` cheaper than on raw rows.
-    Bits are packed from a copy zero-padded to whole bytes per row, raveled
-    once: the same key bytes as `np.packbits(genes, axis=1)`, which pads
-    each row's last byte with zeros too, from one flat pass. Survivor
-    selection dedups on these exact keys only in a call where two distinct
-    rows share a fingerprint.
-    """
-    if genes.dtype == np.uint8 and genes.max() <= 1:
-        rows, length = genes.shape
-        padded = np.zeros((rows, -(-length // 8) * 8), dtype=np.uint8)
-        padded[:, :length] = genes
-        genes = np.packbits(padded.ravel()).reshape(rows, -1)
-    genes = np.ascontiguousarray(genes)
-    return genes.view(np.dtype((np.void, genes.dtype.itemsize * genes.shape[1]))).ravel()
 
 
 def _checked_costs(costs, rows: int, problem=None) -> np.ndarray:

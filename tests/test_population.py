@@ -3,8 +3,7 @@ import pytest
 
 import gea.population
 from gea.genome import GeneDomain
-from gea.population import (Population, _row_fingerprints, init_population, roulette_indices,
-                            row_keys)
+from gea.population import Population, _row_fingerprints, init_population, roulette_indices
 from gea.problems import (Knapsack, OneMax, VehicleRouting, generate_instance,
                           generate_knapsack_instance, standard_suite)
 from gea.rng import make_rng
@@ -36,6 +35,56 @@ def reference_survivors(pop, offspring_genes, offspring_costs):
     kept = sorted(kept + duplicates[: len(pop) - len(kept)])
     rows = [order[rank] for rank in kept]
     return genes[rows], costs[rows]
+
+
+def constant_fingerprints(monkeypatch):
+    """Give every row one fingerprint and spy on the exact fallback. Every
+    select_survivors call must then take the fallback exactly when its
+    parents and offspring hold two distinct genomes; returns the list of
+    calls checked, each True where the fallback ran."""
+    exact, survivors = gea.population._exact_first_in_cost_order, Population.select_survivors
+    fallbacks, calls = [], []
+
+    def spied_exact(genes, order):
+        fallbacks.append(genes.shape[0])
+        return exact(genes, order)
+
+    def checked_survivors(pop, offspring_genes, offspring_costs):
+        before = len(fallbacks)
+        out = survivors(pop, offspring_genes, offspring_costs)
+        if len(offspring_genes):
+            rows = np.concatenate([pop.genes, offspring_genes])
+            collides = np.unique(rows, axis=0).shape[0] > 1
+            assert len(fallbacks) - before == collides
+            calls.append(collides)
+        return out
+
+    monkeypatch.setattr(gea.population, "_row_fingerprints",
+                        lambda genes: np.zeros(genes.shape[0], dtype=np.uint64))
+    monkeypatch.setattr(gea.population, "_exact_first_in_cost_order", spied_exact)
+    monkeypatch.setattr(Population, "select_survivors", checked_survivors)
+    return calls
+
+
+def check_mixed_dtype_cases():
+    """40 trials of uint8 parents with uint16 and int64 offspring (the int64
+    ones partly negative) against the loop reference."""
+    rng = make_rng(5)
+    for trial in range(40):
+        length = 1 + trial % 9
+        members = rng.integers(0, 3, size=(2 + trial % 7, length)).astype(np.uint8)
+        pop = Population(members, rng.integers(0, 4, members.shape[0]).astype(float))
+        for dtype, low in ((np.uint16, 0), (np.int64, -2)):
+            copies = pop.genes[rng.integers(0, len(pop), 1 + trial % 4)]
+            fresh = rng.integers(low, 3, size=(trial % 5, length))
+            offspring = np.concatenate([copies, fresh]).astype(dtype)
+            offspring_costs = rng.integers(0, 4, offspring.shape[0]).astype(float)
+            out = pop.select_survivors(offspring, offspring_costs)
+            genes, costs = reference_survivors(pop, offspring, offspring_costs)
+            assert out.genes.dtype == genes.dtype == dtype
+            assert np.array_equal(out.genes, genes)
+            assert np.array_equal(out.costs, costs)
+            assert np.array_equal(out._fingerprints, gea.population._row_fingerprints(out.genes))
 
 
 def check_reference_cases(case):
@@ -176,52 +225,46 @@ class TestSurvivorSelect:
 
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_fingerprint_collisions_fall_back_to_exact_keys(self, monkeypatch, case):
-        # every row shares one fingerprint, so every call with two distinct
-        # genomes among parents and offspring must dedup on the exact keys
-        keyed = []
-
-        def spied_row_keys(genes):
-            keyed.append(genes.shape[0])
-            return row_keys(genes)
-
-        monkeypatch.setattr(gea.population, "_row_fingerprints",
-                            lambda genes: np.zeros(genes.shape[0], dtype=np.uint64))
-        monkeypatch.setattr(gea.population, "row_keys", spied_row_keys)
+        calls = constant_fingerprints(monkeypatch)
         check_reference_cases(case)
-        assert keyed
+        assert any(calls)
 
-    def test_fingerprint_collisions_keep_a_fit(self, monkeypatch):
-        problem = VehicleRouting(next(inst for inst in standard_suite() if inst.name == "f4"))
-
+    @pytest.mark.parametrize("problem", [
+        VehicleRouting(next(inst for inst in standard_suite() if inst.name == "f4")),
+        Knapsack(generate_knapsack_instance(60, 3)),
+        VehicleRouting(generate_instance(290, 12, 1)),
+    ], ids=["routing-f4", "knapsack-binary", "routing-uint16"])
+    def test_fingerprint_collisions_keep_a_fit(self, monkeypatch, problem):
         def fit():
             return GeaSolver(variant="gea", pop_size=30, max_iters=40, seed=3).fit(problem)
 
         honest = fit()
-        monkeypatch.setattr(gea.population, "_row_fingerprints",
-                            lambda genes: np.zeros(genes.shape[0], dtype=np.uint64))
+        calls = constant_fingerprints(monkeypatch)
         colliding = fit()
+        assert len(calls) == 40 and all(calls)
+        assert colliding.population_.genes.dtype == problem.domain().dtype
         assert np.array_equal(colliding.trace_, honest.trace_)
         assert np.array_equal(colliding.best_genes_, honest.best_genes_)
         assert np.array_equal(colliding.population_.genes, honest.population_.genes)
         assert np.array_equal(colliding.population_.costs, honest.population_.costs)
 
     def test_mixed_dtypes_match_reference_loop(self):
-        rng = make_rng(5)
-        for trial in range(40):
-            length = 1 + trial % 9
-            members = rng.integers(0, 3, size=(2 + trial % 7, length)).astype(np.uint8)
-            pop = Population(members, rng.integers(0, 4, members.shape[0]).astype(float))
-            for dtype in (np.uint16, np.int64):
-                copies = pop.genes[rng.integers(0, len(pop), 1 + trial % 4)]
-                fresh = rng.integers(0, 3, size=(trial % 5, length))
-                offspring = np.concatenate([copies, fresh]).astype(dtype)
-                offspring_costs = rng.integers(0, 4, offspring.shape[0]).astype(float)
-                out = pop.select_survivors(offspring, offspring_costs)
-                genes, costs = reference_survivors(pop, offspring, offspring_costs)
-                assert out.genes.dtype == genes.dtype == dtype
-                assert np.array_equal(out.genes, genes)
-                assert np.array_equal(out.costs, costs)
-                assert np.array_equal(out._fingerprints, _row_fingerprints(out.genes))
+        check_mixed_dtype_cases()
+
+    def test_mixed_dtypes_with_fingerprint_collisions(self, monkeypatch):
+        calls = constant_fingerprints(monkeypatch)
+        check_mixed_dtype_cases()
+        assert any(calls)
+
+    @pytest.mark.parametrize("offspring_shape,costs", [
+        ((4, 3), 2), ((4, 3), 6), ((4, 2), 4), ((12,), 12)])
+    def test_rejects_offspring_of_the_wrong_shape(self, offspring_shape, costs):
+        parents = pop_from_costs([1.0, 5.0])
+        offspring = np.arange(np.prod(offspring_shape)).reshape(offspring_shape) + 100
+        message = (rf"Population of 3 loci: offspring genes of shape "
+                   rf"\({offspring_shape[0]},.*\) and costs of shape \({costs},\)")
+        with pytest.raises(ValueError, match=message):
+            parents.select_survivors(offspring, np.ones(costs))
 
     @pytest.mark.parametrize("problem", [
         OneMax(13),
@@ -242,11 +285,11 @@ class TestSurvivorSelect:
             checked.append(len(out))
             return out
 
-        def no_exact_keys(genes):
-            raise AssertionError("row_keys ran without a fingerprint collision")
+        def no_exact_keys(genes, order):
+            raise AssertionError("the exact fallback ran without a fingerprint collision")
 
         monkeypatch.setattr(Population, "select_survivors", checked_survivors)
-        monkeypatch.setattr(gea.population, "row_keys", no_exact_keys)
+        monkeypatch.setattr(gea.population, "_exact_first_in_cost_order", no_exact_keys)
         solver = GeaSolver(variant="gea", pop_size=20, max_iters=30, seed=2).fit(problem)
         assert len(checked) == 30
         pop = solver.population_
@@ -273,20 +316,3 @@ class TestSurvivorSelect:
                 rows.append(row)
         prints = _row_fingerprints(np.array(rows))
         assert np.unique(prints).size == len(rows)
-
-    @pytest.mark.parametrize("length", [1, 7, 8, 9, 300])
-    def test_binary_keys_are_packbits_bytes(self, length):
-        genes = GeneDomain.binary(length).sample_batch(make_rng(length), 50)
-        genes[0], genes[1] = 0, 1
-        expected = np.packbits(genes, axis=1)
-        keys = row_keys(genes)
-        assert keys.shape == (50,) and keys.dtype.itemsize == expected.shape[1]
-        assert keys.tobytes() == expected.tobytes()
-
-    def test_key_width(self):
-        # one bit per 0/1 gene, one byte per routing locus below 256 symbols
-        binary = GeneDomain.binary(300).sample_batch(make_rng(0), 5)
-        assert row_keys(binary).dtype.itemsize == 38
-        routing = VehicleRouting(generate_instance(200, 10, 1)).domain().sample_batch(make_rng(0), 5)
-        assert routing.shape[1] == 209
-        assert row_keys(routing).dtype.itemsize == 209

@@ -3,7 +3,7 @@ import pytest
 
 import gea.solver
 from gea import engineering
-from gea.population import Population, init_population, row_keys
+from gea.population import Population, _row_fingerprints, init_population
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
 from gea.solver import VARIANTS, GeaSolver, _Generation, _Params
@@ -121,7 +121,7 @@ class TestFit:
         assert genes.dtype == np.uint16
         assert (np.sort(genes, axis=1) == np.arange(1, length + 1)).all()
         assert np.array_equal(problem.evaluate_batch(genes), solver.population_.costs)
-        assert row_keys(genes).dtype.itemsize == 2 * length
+        assert np.array_equal(solver.population_._fingerprints, _row_fingerprints(genes))
 
     def test_gea_converges_on_onemax(self):
         solver = GeaSolver(variant="gea", pop_size=30, max_iters=200, seed=42).fit(OneMax(20))
@@ -260,7 +260,7 @@ class TestElitePass:
         def changed(row, locus):
             genes = pop.genes.copy()
             genes[row, locus] ^= 1
-            return Population(genes, pop.costs, presorted=True)
+            return Population(genes, pop.costs)
 
         first_locus, last_locus = changed(0, 0), changed(last, -1)
         below_elite = changed(last + 1, 0)
