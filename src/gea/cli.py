@@ -231,17 +231,17 @@ def write_outputs(out_dir: Path, files: dict[str, str]) -> list[Path]:
     return written
 
 
-def _report_files(bench: Benchmark, wanted: set[str], with_intervals: bool,
-                  with_svg: bool) -> dict[str, str]:
+def _report_files(bench: Benchmark, wanted: set[str], grid: bool) -> dict[str, str]:
+    # a grid (bench) report adds intervals.csv and a chart per instance
     files: dict[str, str] = {}
     if "csv" in wanted:
         files["results.csv"] = bench.results_csv()
         files["convergence.csv"] = bench.convergence_csv()
-        if with_intervals:
+        if grid:
             files["intervals.csv"] = bench.intervals_csv()
     if "table" in wanted:
         files["table.txt"] = bench.table_text()
-    if with_svg and "svg" in wanted:
+    if grid and "svg" in wanted:
         for instance in bench.instances:
             files[f"{instance}.svg"] = convergence_chart(
                 bench.mean_traces(instance), f"convergence on {instance}")
@@ -260,7 +260,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     batch = run_batch(problem, variant=variant, runs=_to_int(cfg, "runs"),
                       base_seed=_to_int(cfg, "seed"), **solver_params(cfg))
     bench = Benchmark((variant,), (problem.name,), (batch,))
-    files = _report_files(bench, wanted, with_intervals=False, with_svg=False)
+    files = _report_files(bench, wanted, grid=False)
     paths = write_outputs(out_dir, files)
 
     s = batch.stats()
@@ -279,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     problems = [resolve_problem(token) for token in _split_list(cfg["instances"], "instances")]
     bench = full_benchmark(problems, variants=variants, runs=_to_int(cfg, "runs"),
                            base_seed=_to_int(cfg, "seed"), **solver_params(cfg))
-    files = _report_files(bench, wanted, with_intervals=True, with_svg=True)
+    files = _report_files(bench, wanted, grid=True)
     paths = write_outputs(out_dir, files)
 
     print(bench.table_text(), end="")

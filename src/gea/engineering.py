@@ -115,9 +115,7 @@ def _distinct_injection(mask: np.ndarray, dc_genes: np.ndarray) -> tuple[np.ndar
 
 def dominant_candidate(domain: GeneDomain, dc_genes: np.ndarray,
                        template: Genome) -> Genome:
-    """Dominant genes as a full genome; when the raw dominant vector is not a
-    valid permutation, the gene-injection repair completes it from `template`."""
-    if domain.kind is DomainKind.BINARY or np.unique(dc_genes).size == dc_genes.size:
-        return dc_genes.copy()
+    """Dominant genes as a full genome: gene injection with every locus masked
+    returns a valid dominant vector unchanged and repairs others from `template`."""
     return gene_injection_batch(domain, template[None, :], np.ones(dc_genes.shape, dtype=bool),
                                 dc_genes)[0]

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import derive_run_seed
-from .solver import VARIANT_IDS, VARIANTS, GeaSolver
+from .solver import VARIANT_IDS, VARIANTS, GeaSolver, _check_variant
 
 
 def format_cost(value: float) -> str:
@@ -68,8 +68,7 @@ def run_batch(problem, variant: str = "gea", runs: int = 10, base_seed: int = 0,
     """`runs` independent runs; run r of a variant always sees the same stream."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if variant not in VARIANT_IDS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_variant(variant)
     costs = np.empty(runs, dtype=np.float64)
     traces = []
     for run_index in range(runs):
@@ -182,8 +181,7 @@ def full_benchmark(problems: Sequence, variants: Sequence[str] = VARIANTS,
             raise ValueError(f"duplicate {label}: {', '.join(repeated)}")
     # every variant is checked before the first fit, not when its batch comes up
     for variant in variants:
-        if variant not in VARIANT_IDS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        _check_variant(variant)
     results = tuple(
         run_batch(problem, variant=variant, runs=runs, base_seed=base_seed,
                   **solver_params)

@@ -4,11 +4,12 @@ Binary genomes use single-point crossover and single bit flips; permutation
 genomes use order crossover (OX) and position swaps, both of which preserve
 the every-symbol-exactly-once invariant.
 
-The operators take whole cohorts, one genome per row, and make one vectorized
-pass per call; there is no per-genome form. `crossover_batch` draws the cut
-points for the crossover kernels. `mutate_loci` is the one mutation kernel:
-`mutate_batch` lets it draw from every locus, and directed mutation (in
-`engineering`) only from the loci its pattern mask leaves open.
+The operators take whole cohorts and make one vectorized pass per call; there
+is no per-genome form. `crossover_batch` takes m parent pairs as one (m, 2, L)
+array, draws the cut points, and returns the (2m, L) children in pair order.
+`mutate_loci` is the one mutation kernel, one genome per row: `mutate_batch`
+lets it draw from every locus, and directed mutation (in `engineering`) only
+from the loci its pattern mask leaves open.
 """
 
 from __future__ import annotations
@@ -18,28 +19,27 @@ import numpy as np
 from .genome import DomainKind, GeneDomain
 
 
-def crossover_batch(domain: GeneDomain, parents1: np.ndarray, parents2: np.ndarray,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Cross row-aligned parent cohorts; returns both children per pair."""
-    if parents1.shape != parents2.shape:
-        raise ValueError("parent cohorts must share one shape")
-    m, length = parents1.shape
-    if length != domain.length:
-        raise ValueError(f"genome length {length} does not match domain length {domain.length}")
+def crossover_batch(domain: GeneDomain, pairs: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Cross each of m parent pairs, given as an (m, 2, L) array; returns the
+    (2m, L) children, pair i's two children at rows 2i and 2i+1."""
+    if pairs.shape[1:] != (2, domain.length):
+        raise ValueError(f"parent pairs of shape {pairs.shape} do not match (m, 2, L) "
+                         f"for domain length L = {domain.length}")
+    m, _, length = pairs.shape
     if length < 2:
-        return parents1.copy(), parents2.copy()
+        return pairs.reshape(2 * m, length).copy()
     if domain.kind is DomainKind.BINARY:
         cuts = rng.integers(1, length, size=m)
-        return _single_point_batch(parents1, parents2, cuts)
+        return _single_point_batch(pairs, cuts).reshape(2 * m, length)
     # one (2, m) draw gives the same ends, and leaves the generator in the
     # same state, as two draws of m
     a, b = rng.integers(0, length, size=(2, m))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # both children in one vectorized pass: rows m.. are the swapped-parent pairs
-    children = _ox_batch(np.concatenate([parents1, parents2]),
-                         np.concatenate([parents2, parents1]),
-                         np.concatenate([lo, lo]), np.concatenate([hi, hi]))
-    return children[:m], children[m:]
+    # both children in one vectorized pass: row 2i takes its segment from
+    # pair i's first parent, row 2i+1 from its second
+    return _ox_batch(pairs.reshape(2 * m, length), pairs[:, ::-1].reshape(2 * m, length),
+                     lo.repeat(2), hi.repeat(2))
 
 
 def mutate_batch(domain: GeneDomain, genomes: np.ndarray,
@@ -74,22 +74,21 @@ def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
 # ---------------------------------------------------------------------------
 # vectorized kernels
 
-def _single_point_batch(p1: np.ndarray, p2: np.ndarray,
-                        cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both single-point children per row: loci from the row's cut on come
-    from the other parent.
+def _single_point_batch(pairs: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Both single-point children of each (m, 2, L) pair, in pair order:
+    loci from the pair's cut on come from the other parent.
 
     The mask compares positions in the narrowest unsigned type that holds
     the genome length, so it is the same bool mask as an int64 compare. The
-    children are p1 ^ swap and p2 ^ swap with swap = (p1 ^ p2) * mask: where
-    the mask is set that exchanges the two genes exactly, elsewhere it keeps
+    children are the parents ^ swap with swap = (p1 ^ p2) * mask: where the
+    mask is set that exchanges the two genes exactly, elsewhere it keeps
     them, for any integer genes and in the parents' dtype.
     """
-    length = p1.shape[1]
+    length = pairs.shape[2]
     pos_type = np.min_scalar_type(length)
     take_other = np.arange(length, dtype=pos_type) >= cuts.astype(pos_type)[:, None]
-    swap = (p1 ^ p2) * take_other
-    return p1 ^ swap, p2 ^ swap
+    swap = (pairs[:, 0] ^ pairs[:, 1]) * take_other
+    return pairs ^ swap[:, None]
 
 
 def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,

@@ -10,12 +10,13 @@ import numpy as np
 class Population:
     """Fixed-size pool of evaluated genomes, kept sorted by ascending cost.
 
-    A (size, L) gene matrix, kept in the dtype it is given (the domain's
-    `GeneDomain.dtype` in a fit), plus a cost vector; row i is the i-th best
-    genome. Costs are checked to be one finite number per row and stably
-    sorted; survivors enter through the private `_kept`, sorted and checked.
-    Each row's 64-bit fingerprint is computed once, when it enters, and kept
-    beside it for survivor dedup, so the gene matrix is not to be written in place.
+    A (size, L) bool or integer gene matrix, kept in the dtype it is given
+    (the domain's `GeneDomain.dtype` in a fit), plus a cost vector; row i is
+    the i-th best genome. Costs are checked to be one finite number per row
+    and stably sorted; survivors enter through the private `_kept`, sorted
+    and checked. Each row's 64-bit fingerprint is computed once, when it
+    enters, and kept beside it for survivor dedup, so the gene matrix is not
+    to be written in place.
     """
 
     __slots__ = ("genes", "costs", "_fingerprints")
@@ -26,6 +27,7 @@ class Population:
             raise ValueError(f"genes must be a (size, L) matrix, got shape {genes.shape}")
         if genes.shape[0] == 0:
             raise ValueError("population cannot be empty")
+        _check_gene_dtype(genes)
         costs = _checked_costs(costs, genes.shape[0])
         order = np.argsort(costs, kind="stable")
         self.genes, self.costs = genes[order], costs[order]
@@ -56,14 +58,15 @@ class Population:
         solution; duplicates fill the remainder only in tiny domains.
         Distinctness is exact genome equality (`_first_in_cost_order`); only
         the offspring are fingerprinted, since parents keep theirs. Offspring
-        come as an (m, L) matrix and m costs, taken as finite (a fit checks
-        them as the problem returns them).
+        come as an (m, L) bool or integer matrix and m costs, taken as finite
+        (a fit checks them as the problem returns them).
         """
         offspring_costs = np.asarray(offspring_costs, dtype=np.float64)
         shape, loci = offspring_genes.shape, self.genes.shape[1]
         if shape[1:] != (loci,) or offspring_costs.shape != shape[:1]:
             raise ValueError(f"Population of {loci} loci: offspring genes of shape {shape} "
                              f"and costs of shape {offspring_costs.shape} do not match")
+        _check_gene_dtype(offspring_genes)
         if shape[0] == 0:
             return self
         size = len(self)
@@ -86,6 +89,13 @@ class Population:
             keep = np.sort(np.concatenate([first_ranks, duplicates]))
         rows = order[keep]
         return Population._kept(genes.take(rows, axis=0), costs[rows], prints[rows])
+
+
+def _check_gene_dtype(genes: np.ndarray) -> None:
+    # fingerprints hash bytes and the exact fallback compares values: on
+    # integers they agree, on floats not (0.0 and -0.0)
+    if genes.dtype.kind not in "biu":
+        raise ValueError(f"Population genes must be bool or integer, got dtype {genes.dtype}")
 
 
 def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,
@@ -184,15 +194,13 @@ def rank_weight_cumsum(size: int) -> np.ndarray:
     return np.cumsum(np.arange(size, 0, -1, dtype=np.float64))
 
 
-def roulette_indices(size: int, draws: int, rng: np.random.Generator,
-                     cumulative: np.ndarray | None = None) -> np.ndarray:
-    """Rank-based roulette wheel over a sorted population of `size`:
-    each draw picks index i with probability (size - i) / sum of weights."""
-    if size < 1:
+def roulette_indices(cumulative: np.ndarray, draws: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Rank-based roulette wheel over a sorted population, given its
+    `rank_weight_cumsum` table: each draw picks index i with probability
+    (size - i) / sum of weights, where size is the table's length."""
+    if cumulative.size < 1:
         raise ValueError("cannot select from an empty population")
-    if cumulative is None:
-        cumulative = rank_weight_cumsum(size)
     points = rng.random(draws)
     points *= cumulative[-1]
     return cumulative.searchsorted(points, side="right")
-

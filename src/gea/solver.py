@@ -13,16 +13,16 @@ The other variants are ablations with a constant triple: ``ga`` (0, 0, 0) is
 crossover + undirected mutation only, and ``gea1``, ``gea2`` and ``gea3`` each
 always fire one scenario: (1, 0, 0), (0, 1, 0) and (0, 0, 1).
 
-Each generation produces round(crossover_rate * pop) crossover children from
-rank-roulette parent pairs and round(mutation_rate * pop) mutants, applies the
-mechanisms that fire, then truncates parents + offspring elitistically back to
-the population size, so the best cost never regresses. When any mechanism
-fires, the elite statistics (dominant chromosome and pattern mask) are read
-from the population before the offspring and shared by all three mechanisms.
-They are computed in one pass per distinct elite: a fit keeps the last pass,
-with the repaired dominant candidate once scenario 1 asks for it, and reuses it
-while the elite rows are unchanged. The pass draws no random numbers, so
-reusing it leaves every fit as it was.
+Each generation produces round(crossover_rate * pop) crossover children, two
+per rank-roulette parent pair in pair order, and round(mutation_rate * pop)
+mutants, applies the mechanisms that fire, then truncates parents + offspring
+elitistically back to the population size, so the best cost never regresses.
+When any mechanism fires, the elite statistics (dominant chromosome and
+pattern mask) are read from the population before the offspring and shared
+by all three mechanisms. They are computed in one pass per distinct elite: a
+fit keeps the last pass, with the repaired dominant candidate once scenario 1
+asks for it, and reuses it while the elite rows are unchanged. The pass draws
+no random numbers, so reusing it leaves every fit as it was.
 
 Every variant draws its gates from a dedicated scheduler stream, separate from
 the operator stream; a ``gea`` run whose weights force a single scenario
@@ -32,7 +32,6 @@ therefore replays the corresponding fixed variant draw for draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .operators import crossover_batch, mutate_batch
 from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
                          roulette_indices)
 from .rng import split_streams
-from .validation import check_fraction, check_int, check_weights
 
 VARIANTS = ("ga", "gea1", "gea2", "gea3", "gea")
 VARIANT_IDS = {name: index for index, name in enumerate(VARIANTS)}
@@ -67,32 +65,82 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class _Params:
-    variant: str
-    pop_size: int
-    max_iters: int
-    crossover_rate: float
-    mutation_rate: float
-    elite_fraction: float
-    threshold_fraction: float
-    scenario_weights: tuple[float, float, float]
-    seed: int
+def _check_variant(variant: str) -> str:
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return variant
+
+
+def _check_int(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_fraction(name: str, value, low_open: bool = False) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    # written so that NaN, which fails every comparison, is rejected too
+    if not 0.0 <= value <= 1.0 or (low_open and value == 0.0):
+        bracket = "(" if low_open else "["
+        raise ValueError(f"{name} must be in {bracket}0.0, 1.0], got {value}")
+    return value
+
+
+def _check_weights(weights, variant: str) -> tuple[float, float, float]:
+    # a string iterates as characters, so it is no sequence of numbers here
+    try:
+        if isinstance(weights, (str, bytes)):
+            raise TypeError
+        values = tuple(float(w) for w in weights)
+    except (TypeError, ValueError):
+        raise ValueError(f"scenario_weights must be a sequence of 3 numbers, "
+                         f"got {weights!r}") from None
+    if len(values) != 3:
+        raise ValueError(f"scenario_weights must have 3 entries, got {len(values)}")
+    if not all(math.isfinite(w) for w in values):
+        raise ValueError(f"scenario_weights entries must be finite, got {values}")
+    if any(w < 0 for w in values):
+        raise ValueError(f"scenario_weights entries must be non-negative, got {values}")
+    if variant == "gea" and sum(values) <= 0:
+        raise ValueError("scenario_weights must contain at least one positive entry")
+    if variant == "gea" and any(w > 1 for w in values):
+        raise ValueError(f"scenario_weights act as firing probabilities and must each "
+                         f"be <= 1, got {values}")
+    return values
 
 
 class _Generation:
-    """Per-fit caches for the iteration hot path."""
+    """A fit's checked settings and per-fit caches for the iteration hot path;
+    a bad setting raises a ValueError that names it."""
 
-    def __init__(self, params: _Params, domain: GeneDomain):
+    def __init__(self, solver: "GeaSolver", domain: GeneDomain):
+        variant = _check_variant(solver.variant)
+        self.size = size = _check_int("pop_size", solver.pop_size, 2)
+        self.max_iters = _check_int("max_iters", solver.max_iters, 0)
+        elite_fraction = _check_fraction("elite_fraction", solver.elite_fraction, low_open=True)
+        if _product(elite_fraction, size) < 1:
+            raise ValueError(f"elite_fraction * pop_size must be >= 1, "
+                             f"got {elite_fraction * size}")
+        weights = _check_weights(solver.scenario_weights, variant)
+        crossover_rate = _check_fraction("crossover_rate", solver.crossover_rate)
+        mutation_rate = _check_fraction("mutation_rate", solver.mutation_rate)
+        threshold_fraction = _check_fraction("threshold_fraction", solver.threshold_fraction)
+        self.seed = _check_int("seed", solver.seed, 0)
+
         self.domain = domain
-        self.size = size = params.pop_size
         self.cumulative = rank_weight_cumsum(size)
-        self.n_cross = _round_half_up(_product(params.crossover_rate, size))
-        self.n_mut = _round_half_up(_product(params.mutation_rate, size))
-        self.elite_size = max(1, math.ceil(_product(params.elite_fraction, size)))
-        self.threshold = math.ceil(_product(params.threshold_fraction, self.elite_size))
+        self.n_cross = _round_half_up(_product(crossover_rate, size))
+        self.n_mut = _round_half_up(_product(mutation_rate, size))
+        # at least 1, by the elite_fraction check above
+        self.elite_size = math.ceil(_product(elite_fraction, size))
+        self.threshold = math.ceil(_product(threshold_fraction, self.elite_size))
         # Python floats, compared with the draws as Python floats
-        self.weights = _VARIANT_WEIGHTS.get(params.variant, params.scenario_weights)
+        self.weights = _VARIANT_WEIGHTS.get(variant, weights)
         # the last elite pass and the bytes of the elite rows it was computed
         # from; the candidate is made on the first scenario 1 after each pass
         self.elite_bytes = self.dominant = self.mask = self.candidate = None
@@ -119,15 +167,12 @@ class _Generation:
         parts: list[np.ndarray] = []
         if self.n_cross > 0:
             n_pairs = (self.n_cross + 1) // 2
-            parent_idx = roulette_indices(self.size, 2 * n_pairs, rng, self.cumulative)
-            first, second = crossover_batch(self.domain, pop.genes[parent_idx[0::2]],
-                                            pop.genes[parent_idx[1::2]], rng)
-            children = np.empty((2 * n_pairs, self.domain.length), dtype=first.dtype)
-            children[0::2], children[1::2] = first, second
-            parts.append(children[: self.n_cross])
+            parent_idx = roulette_indices(self.cumulative, 2 * n_pairs, rng)
+            pairs = pop.genes[parent_idx].reshape(n_pairs, 2, self.domain.length)
+            parts.append(crossover_batch(self.domain, pairs, rng)[: self.n_cross])
 
         if self.n_mut > 0:
-            source_idx = roulette_indices(self.size, self.n_mut, rng, self.cumulative)
+            source_idx = roulette_indices(self.cumulative, self.n_mut, rng)
             sources = pop.genes[source_idx]
             if run2:
                 parts.append(directed_mutation_batch(self.domain, sources, self.mask, rng))
@@ -161,7 +206,9 @@ class GeaSolver:
 
     Parameters follow the benchmark defaults: population 100, 1000 iterations,
     crossover volume 0.8, mutation volume 0.1, elite fraction 0.2, mask
-    threshold fraction 0.5, scenario weights (0.5, 0.5, 0.2).
+    threshold fraction 0.5, scenario weights (0.5, 0.5, 0.2). They are stored
+    as given and checked when ``fit`` starts; a bad one raises a ValueError
+    that names it.
 
     After ``fit(problem)`` the solver exposes ``best_genes_``, ``best_cost_``,
     ``trace_`` (per-iteration best cost, non-increasing) and ``population_``.
@@ -198,44 +245,13 @@ class GeaSolver:
         return f"GeaSolver({args})"
 
     # -- fitting -------------------------------------------------------------
-    def _checked_params(self) -> _Params:
-        variant = self.variant
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        pop_size = check_int("pop_size", self.pop_size, minimum=2)
-        max_iters = check_int("max_iters", self.max_iters, minimum=0)
-        elite_fraction = check_fraction("elite_fraction", self.elite_fraction, low_open=True)
-        if _product(elite_fraction, pop_size) < 1:
-            raise ValueError(
-                f"elite_fraction * pop_size must be >= 1, got {elite_fraction * pop_size}"
-            )
-        weights = check_weights("scenario_weights", self.scenario_weights,
-                                require_positive=(variant == "gea"))
-        if variant == "gea" and any(w > 1 for w in weights):
-            raise ValueError(
-                f"scenario_weights act as firing probabilities and must each be <= 1, "
-                f"got {weights}"
-            )
-        return _Params(
-            variant=variant,
-            pop_size=pop_size,
-            max_iters=max_iters,
-            crossover_rate=check_fraction("crossover_rate", self.crossover_rate),
-            mutation_rate=check_fraction("mutation_rate", self.mutation_rate),
-            elite_fraction=elite_fraction,
-            threshold_fraction=check_fraction("threshold_fraction", self.threshold_fraction),
-            scenario_weights=weights,
-            seed=check_int("seed", self.seed, minimum=0),
-        )
-
     def fit(self, problem) -> "GeaSolver":
-        params = self._checked_params()
-        rng, scheduler_rng = split_streams(params.seed)
-        pop = init_population(problem, params.pop_size, rng)
-        generation = _Generation(params, problem.domain())
+        generation = _Generation(self, problem.domain())
+        rng, scheduler_rng = split_streams(generation.seed)
+        pop = init_population(problem, generation.size, rng)
 
-        trace = np.empty(params.max_iters, dtype=np.float64)
-        for i in range(params.max_iters):
+        trace = np.empty(generation.max_iters, dtype=np.float64)
+        for i in range(generation.max_iters):
             pop = generation.step(pop, problem, rng, scheduler_rng)
             trace[i] = pop.best_cost
 
@@ -243,5 +259,5 @@ class GeaSolver:
         self.best_genes_ = pop.genes[0].copy()
         self.best_cost_ = pop.best_cost
         self.trace_ = trace
-        self.n_iters_ = params.max_iters
+        self.n_iters_ = generation.max_iters
         return self

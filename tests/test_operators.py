@@ -10,16 +10,23 @@ BIN4 = GeneDomain.binary(4)
 PERM5 = GeneDomain.permutation(5)
 
 
+def cross(domain, parents1, parents2, rng):
+    """`crossover_batch` on the pairs (parents1[i], parents2[i]), its
+    pair-ordered children split into each pair's first and second child."""
+    children = crossover_batch(domain, np.stack([parents1, parents2], axis=1), rng)
+    return children[0::2], children[1::2]
+
+
 class TestSinglePoint:
     def test_cut_at_two(self, scripted_rng):
-        c1, c2 = crossover_batch(BIN4, np.array([[0, 0, 0, 0]]), np.array([[1, 1, 1, 1]]),
-                                 scripted_rng([2]))
+        c1, c2 = cross(BIN4, np.array([[0, 0, 0, 0]]), np.array([[1, 1, 1, 1]]),
+                       scripted_rng([2]))
         assert c1.tolist() == [[0, 0, 1, 1]]
         assert c2.tolist() == [[1, 1, 0, 0]]
 
     def test_identical_parents_yield_identical_children(self, scripted_rng):
         g = np.tile([1, 0, 1, 1], (3, 1))
-        c1, c2 = crossover_batch(BIN4, g, g, scripted_rng([1, 2, 3]))
+        c1, c2 = cross(BIN4, g, g, scripted_rng([1, 2, 3]))
         assert np.array_equal(c1, g) and np.array_equal(c2, g)
 
 
@@ -42,10 +49,10 @@ class TestSinglePointOracle:
         p1[:5], p2[:5] = p1[:5] % 2, p2[:5] % 2
         cuts = rng.integers(1, length, size=m)
         cuts[:3], cuts[3:6] = 1, length - 1
-        c1, c2 = _single_point_batch(p1, p2, cuts)
+        children = _single_point_batch(np.stack([p1, p2], axis=1), cuts)
         e1, e2 = reference_single_point(p1, p2, cuts)
-        assert c1.dtype == c2.dtype == e1.dtype == dtype
-        assert np.array_equal(c1, e1) and np.array_equal(c2, e2)
+        assert children.dtype == e1.dtype == dtype
+        assert np.array_equal(children, np.stack([e1, e2], axis=1))
 
 
 class TestOrderCrossover:
@@ -54,7 +61,7 @@ class TestOrderCrossover:
         p2 = np.array([[5, 4, 3, 2, 1]])
         # segment ends drawn as one (2, m) batch, 3 then 2: the segment is
         # loci 2..3 either way
-        c1, c2 = crossover_batch(PERM5, p1, p2, scripted_rng([[3], [2]]))
+        c1, c2 = cross(PERM5, p1, p2, scripted_rng([[3], [2]]))
         # child keeps (.,.,3,4,.) and takes 5,2,1 in p2 order
         assert c1.tolist() == [[5, 2, 3, 4, 1]]
         assert c2.tolist() == [[1, 4, 3, 2, 5]]
@@ -62,7 +69,7 @@ class TestOrderCrossover:
     def test_identical_parents_identity(self, scripted_rng):
         g = np.tile([3, 1, 4, 2, 5], (4, 1))
         # segments (0, 0), (1, 3), (0, 4) and (4, 4), one per row
-        c1, c2 = crossover_batch(PERM5, g, g, scripted_rng([[0, 1, 0, 4], [0, 3, 4, 4]]))
+        c1, c2 = cross(PERM5, g, g, scripted_rng([[0, 1, 0, 4], [0, 3, 4, 4]]))
         assert np.array_equal(c1, g) and np.array_equal(c2, g)
 
     @pytest.mark.parametrize("length", [3, 10, 23, 34, 157, 209, 300, 65536, 2 ** 33])
@@ -86,7 +93,7 @@ class TestOrderCrossover:
         for _ in range(100):
             p1 = dom.sample_batch(rng, 100)
             p2 = dom.sample_batch(rng, 100)
-            c1, c2 = crossover_batch(dom, p1, p2, rng)
+            c1, c2 = cross(dom, p1, p2, rng)
             for batch in (c1, c2):
                 assert np.array_equal(np.sort(batch, axis=1),
                                       np.tile(sorted_alphabet, (100, 1)))
@@ -96,7 +103,7 @@ class TestOrderCrossover:
         dom = GeneDomain.binary(9)
         p1 = dom.sample_batch(rng, 10_000)
         p2 = dom.sample_batch(rng, 10_000)
-        c1, c2 = crossover_batch(dom, p1, p2, rng)
+        c1, c2 = cross(dom, p1, p2, rng)
         assert np.isin(c1, (0, 1)).all() and np.isin(c2, (0, 1)).all()
         # single point: prefix comes from p1, suffix from p2
         changed = c1 != p1
@@ -149,27 +156,56 @@ class TestCrossoverWrapper:
     def test_single_pair_valid_children(self):
         rng = make_rng(0)
         p1, p2 = PERM5.sample_batch(rng, 1), PERM5.sample_batch(rng, 1)
-        c1, c2 = crossover_batch(PERM5, p1, p2, rng)
+        c1, c2 = cross(PERM5, p1, p2, rng)
         assert c1.shape == c2.shape == (1, 5)
         assert PERM5.contains(c1[0]) and PERM5.contains(c2[0])
 
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            crossover_batch(BIN4, np.zeros((2, 4), int), np.zeros((3, 4), int), make_rng(0))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            crossover_batch(BIN4, np.zeros((2, 5), int), np.zeros((2, 5), int), make_rng(0))
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 1, 4), (4, 4), (2, 2, 5), (1, 2, 2, 4)])
+    def test_pairs_of_the_wrong_shape_rejected(self, shape):
+        message = rf"parent pairs of shape \({', '.join(map(str, shape))}\) .* length L = 4"
+        with pytest.raises(ValueError, match=message):
+            crossover_batch(BIN4, np.zeros(shape, int), make_rng(0))
 
     def test_length_one_binary_children_copy_parents(self):
         dom = GeneDomain.binary(1)
-        c1, c2 = crossover_batch(dom, np.array([[0]]), np.array([[1]]), make_rng(0))
+        c1, c2 = cross(dom, np.array([[0]]), np.array([[1]]), make_rng(0))
         assert c1.tolist() == [[0]] and c2.tolist() == [[1]]
 
     def test_determinism(self):
         p1, p2 = PERM5.sample_batch(make_rng(1), 3), PERM5.sample_batch(make_rng(2), 3)
-        assert np.array_equal(crossover_batch(PERM5, p1, p2, make_rng(9))[0],
-                              crossover_batch(PERM5, p1, p2, make_rng(9))[0])
+        pairs = np.stack([p1, p2], axis=1)
+        assert np.array_equal(crossover_batch(PERM5, pairs, make_rng(9)),
+                              crossover_batch(PERM5, pairs, make_rng(9)))
+
+
+class TestCrossoverPairOracle:
+    @pytest.mark.parametrize("domain", [
+        GeneDomain.binary(9),
+        GeneDomain.binary(300),
+        GeneDomain.permutation(20, separators=3),
+        GeneDomain.permutation(200, separators=9),
+    ], ids=lambda d: f"{d.kind.name}-{d.length}")
+    @pytest.mark.parametrize("m", [1, 7, 40])
+    def test_pair_rows_equal_reference_children(self, domain, m):
+        # rows 2i and 2i+1 are the reference children of (p1, p2) and
+        # (p2, p1) under the cut points drawn from the same stream, and the
+        # call leaves the stream where the references' draws leave it
+        rng = make_rng(domain.length + m)
+        p1, p2 = domain.sample_batch(rng, m), domain.sample_batch(rng, m)
+        seed = int(rng.integers(1 << 30))
+        got_rng, expected_rng = make_rng(seed), make_rng(seed)
+        children = crossover_batch(domain, np.stack([p1, p2], axis=1), got_rng)
+        length = domain.length
+        if domain.kind is DomainKind.BINARY:
+            e1, e2 = reference_single_point(p1, p2, expected_rng.integers(1, length, size=m))
+        else:
+            a, b = expected_rng.integers(0, length, size=(2, m))
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            e1, e2 = reference_ox(p1, p2, lo, hi), reference_ox(p2, p1, lo, hi)
+        assert children.shape == (2 * m, length) and children.dtype == domain.dtype
+        assert np.array_equal(children[0::2], e1)
+        assert np.array_equal(children[1::2], e2)
+        assert got_rng.random() == expected_rng.random()
 
 
 def reference_mutate_loci(domain, genomes, free, rng):

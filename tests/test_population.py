@@ -3,7 +3,8 @@ import pytest
 
 import gea.population
 from gea.genome import GeneDomain
-from gea.population import Population, _row_fingerprints, init_population, roulette_indices
+from gea.population import (Population, _row_fingerprints, init_population, rank_weight_cumsum,
+                            roulette_indices)
 from gea.problems import (Knapsack, OneMax, VehicleRouting, generate_instance,
                           generate_knapsack_instance, standard_suite)
 from gea.rng import make_rng
@@ -127,6 +128,17 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population(np.zeros((1, 3), int), np.array([np.inf]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, object])
+    def test_rejects_genes_that_are_not_bool_or_integer(self, dtype):
+        with pytest.raises(ValueError, match=f"Population.*dtype {np.dtype(dtype)}"):
+            Population(np.zeros((2, 3), dtype=dtype), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int32, np.int64])
+    def test_accepts_bool_and_integer_genes(self, dtype):
+        pop = Population(np.array([[1, 0, 1], [0, 1, 1]], dtype=dtype), np.array([2.0, 1.0]))
+        assert pop.genes.dtype == dtype
+        assert pop.genes.tolist() == [[0, 1, 1], [1, 0, 1]]
+
 
 class TestInitPopulation:
     def test_binary_population_sorted_and_valid(self):
@@ -156,7 +168,7 @@ class TestRoulette:
     def test_three_member_probabilities(self):
         # rank weights 3,2,1 -> probabilities 3/6, 2/6, 1/6; 1e5 draws, 3 sigma
         draws = 100_000
-        idx = roulette_indices(3, draws, make_rng(123))
+        idx = roulette_indices(rank_weight_cumsum(3), draws, make_rng(123))
         for i, p in enumerate((3 / 6, 2 / 6, 1 / 6)):
             count = (idx == i).sum()
             sigma = np.sqrt(draws * p * (1 - p))
@@ -164,16 +176,17 @@ class TestRoulette:
 
     def test_singleton_population(self, scripted_rng):
         # the lone member takes the whole wheel, whatever the point drawn
-        idx = roulette_indices(1, 3, scripted_rng([0.0, 0.5, 0.999999]))
+        idx = roulette_indices(rank_weight_cumsum(1), 3, scripted_rng([0.0, 0.5, 0.999999]))
         assert idx.tolist() == [0, 0, 0]
 
     def test_deterministic(self):
-        assert np.array_equal(roulette_indices(4, 10, make_rng(5)),
-                              roulette_indices(4, 10, make_rng(5)))
+        cumulative = rank_weight_cumsum(4)
+        assert np.array_equal(roulette_indices(cumulative, 10, make_rng(5)),
+                              roulette_indices(cumulative, 10, make_rng(5)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            roulette_indices(0, 1, make_rng(0))
+            roulette_indices(rank_weight_cumsum(0), 1, make_rng(0))
 
 
 class TestSurvivorSelect:
@@ -255,6 +268,19 @@ class TestSurvivorSelect:
         calls = constant_fingerprints(monkeypatch)
         check_mixed_dtype_cases()
         assert any(calls)
+
+    def test_float_genes_are_refused_where_zero_and_negative_zero_differ(self):
+        # fingerprints hash bytes, so 0.0 and -0.0 would be distinct genes on
+        # the fast path and one gene to np.unique; float genes are refused
+        # before either runs, as parents and as offspring
+        parents, offspring = [[0.0, 1.0], [2.0, 3.0]], np.array([[-0.0, 1.0]])
+        with pytest.raises(ValueError, match="Population.*dtype float64"):
+            Population(np.array(parents), np.array([1.0, 2.0]))
+        pop = Population(np.array(parents, dtype=np.int64), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="Population.*dtype float64"):
+            pop.select_survivors(offspring, np.array([0.5]))
+        with pytest.raises(ValueError, match="Population.*dtype float64"):
+            pop.select_survivors(np.empty((0, 2)), np.empty(0))
 
     @pytest.mark.parametrize("offspring_shape,costs", [
         ((4, 3), 2), ((4, 3), 6), ((4, 2), 4), ((12,), 12)])

@@ -6,7 +6,7 @@ from gea import engineering
 from gea.population import Population, _row_fingerprints, init_population
 from gea.problems import OneMax, VehicleRouting, generate_instance
 from gea.rng import make_rng, split_streams
-from gea.solver import VARIANTS, GeaSolver, _Generation, _Params
+from gea.solver import VARIANTS, GeaSolver, _Generation
 
 
 class TestEstimatorProtocol:
@@ -140,36 +140,34 @@ class TestFit:
             assert np.array_equal(a.best_genes_, b.best_genes_)
 
 
-def elite_fraction_accepted(pop_size, elite_fraction):
-    try:
-        GeaSolver(pop_size=pop_size, elite_fraction=elite_fraction)._checked_params()
-    except ValueError:
-        return False
-    return True
-
-
 class TestCounts:
     def test_counts_round_the_exact_product(self, monkeypatch):
         # every fraction k/100 and k/1000 at every pop from 2 to 300, against
-        # integer arithmetic on k * pop / d: half up for the crossover and
-        # mutation counts, the ceiling for the elite size and the threshold,
-        # and the elite check accepts exactly k * pop >= d. Unrounded float
-        # products miss these, e.g. 0.07 * 100 = 7.000000000000001. Each k/100
-        # is the same float as 10k/1000, so the dict holds 1001 fractions
+        # integer arithmetic on k * pop / d. The settings are accepted exactly
+        # when k * pop >= d, and then the counts are half up for crossover
+        # and mutation and the ceiling for the elite size and the threshold;
+        # otherwise the constructor raises a ValueError naming elite_fraction.
+        # Unrounded float products miss these, e.g. 0.07 * 100 =
+        # 7.000000000000001. Each k/100 is the same float as 10k/1000, so the
+        # dict holds 1001 fractions
         fractions = {k / d: (k, d) for d in (100, 1000) for k in range(d + 1)}
         # the roulette table is most of a _Generation's setup and no count
         monkeypatch.setattr(gea.solver, "rank_weight_cumsum", lambda size: None)
         for fraction, (k, d) in fractions.items():
             for pop in range(2, 301):
-                params = _Params("gea", pop, 0, fraction, fraction, fraction, fraction,
-                                 (0.5, 0.5, 0.2), 0)
-                generation = _Generation(params, None)
+                solver = GeaSolver(pop_size=pop, crossover_rate=fraction,
+                                   mutation_rate=fraction, elite_fraction=fraction,
+                                   threshold_fraction=fraction)
+                if k * pop < d:
+                    with pytest.raises(ValueError, match="elite_fraction"):
+                        _Generation(solver, None)
+                    continue
+                generation = _Generation(solver, None)
                 half_up = (2 * k * pop + d) // (2 * d)
-                elite = max(1, -(-k * pop // d))
+                elite = -(-k * pop // d)
                 counts = (generation.n_cross, generation.n_mut,
                           generation.elite_size, generation.threshold)
                 assert counts == (half_up, half_up, elite, -(-k * elite // d)), (k, d, pop)
-                assert elite_fraction_accepted(pop, fraction) == (k * pop >= d), (k, d, pop)
 
     @pytest.mark.parametrize("params,attribute,count", [
         ({"pop_size": 100, "elite_fraction": 0.07}, "elite_size", 7),
@@ -178,7 +176,7 @@ class TestCounts:
         ({"pop_size": 100, "mutation_rate": 0.145}, "n_mut", 15),
     ])
     def test_fit_counts(self, params, attribute, count):
-        generation = _Generation(GeaSolver(**params)._checked_params(), None)
+        generation = _Generation(GeaSolver(**params), None)
         assert getattr(generation, attribute) == count
 
 
@@ -250,9 +248,8 @@ class TestElitePass:
         observer = EliteObserver(monkeypatch)
         problem = OneMax(6)
         # no offspring: each step runs only the gate and the elite pass
-        params = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
-                           mutation_rate=0.0)._checked_params()
-        generation = _Generation(params, problem.domain())
+        solver = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0, mutation_rate=0.0)
+        generation = _Generation(solver, problem.domain())
         genes = problem.domain().sample_batch(make_rng(4), 10)
         pop = Population(genes, problem.evaluate_batch(genes))
         last = generation.elite_size - 1
@@ -327,9 +324,9 @@ class TestStep:
         problem = OneMax(6)
         genes = np.tile(np.array([1, 0, 1, 0, 1, 0]), (10, 1))
         pop = Population(genes, problem.evaluate_batch(genes))
-        params = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
-                           mutation_rate=0.5, seed=6)._checked_params()
-        out = _Generation(params, problem.domain()).step(pop, problem, make_rng(1), make_rng(2))
+        solver = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
+                           mutation_rate=0.5, seed=6)
+        out = _Generation(solver, problem.domain()).step(pop, problem, make_rng(1), make_rng(2))
         assert out.best_cost == pop.best_cost
         assert np.array_equal(np.unique(out.genes, axis=0),
                               np.unique(genes, axis=0))

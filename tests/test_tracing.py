@@ -44,3 +44,17 @@ def test_tracer_sees_every_engineering_span_and_uninstalls():
         assert bound(owner, attr) is original, attr
     for name in ENGINEERING:
         assert getattr(gea.solver, name) is getattr(gea.engineering, name)
+
+
+def test_tracer_counts_two_crossover_rows_per_parent_pair():
+    # crossover_rate 0.75 at pop 20 asks for 15 children: 8 pairs, whose 16
+    # children the step makes before it keeps 15
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        problem = VehicleRouting(generate_instance(6, 2, 5))
+        GeaSolver(pop_size=20, max_iters=30, crossover_rate=0.75, seed=2).fit(problem)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["generations"] == tracer.stat("operators.crossover_batch")[0] == 30
+    assert tracer.counters["crossover_rows"] == 30 * 2 * 8
