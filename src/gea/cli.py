@@ -1,7 +1,10 @@
 """Command-line interface: run, bench, gen-instance, oracle.
 
-Configuration is layered: built-in defaults (the benchmark protocol settings),
-then a `key = value` config file, then command-line flags. Every flag has a
+`bench` runs the benchmark protocol over a grid of variants x instances and
+`run` runs one cell of it, through one command body. Configuration is layered:
+the run settings of `RUN_SETTINGS` default to those of `GeaSolver` and
+`run_batch`, the other keys to `CONFIG_DEFAULTS`; a `key = value` config file
+overrides them, and command-line flags override both. Every flag has a
 config-file key of the same name (dashes become underscores). Unknown config
 keys are rejected by name. Exit codes: 0 success, 1 usage or configuration
 error, 2 internal error.
@@ -15,27 +18,19 @@ import sys
 from pathlib import Path
 
 from .charts import convergence_chart
-from .harness import Benchmark, format_cost, full_benchmark, run_batch
+from .harness import format_cost, full_benchmark
 from .problems import (Knapsack, VehicleRouting, generate_instance,
                        generate_knapsack_instance, knapsack_dp_optimum,
                        load_instance, vrp_brute_force, write_instance,
                        SUITE_DIMENSIONS)
 from .solver import VARIANTS
 
+# the settings the command line owns; run settings keep the library's defaults
 CONFIG_DEFAULTS = {
     "variant": "gea",
     "variants": ",".join(VARIANTS),
     "instance": "f1",
     "instances": ",".join(name for name, *_ in SUITE_DIMENSIONS),
-    "runs": "10",
-    "seed": "0",
-    "iters": "1000",
-    "pop": "100",
-    "pc": "0.8",
-    "pm": "0.1",
-    "elite_fraction": "0.2",
-    "threshold_fraction": "0.5",
-    "weights": "0.5,0.5,0.2",
     "out": "",
     "formats": "csv,table,svg",
 }
@@ -47,6 +42,32 @@ class UsageError(ValueError):
     """Bad flags, bad config, unresolvable instance."""
 
 
+def _weights(text: str) -> tuple[float, ...]:
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise UsageError(f"weights must be w1,w2,w3, got {text!r}")
+    try:
+        return tuple(float(w) for w in fields)
+    except ValueError:
+        raise UsageError(f"weights must be numbers, got {text!r}") from None
+
+
+# config key -> (parameter of run_batch or GeaSolver, parser of its text, help)
+RUN_SETTINGS = {
+    "runs": ("runs", int, "independent runs per cell"),
+    "seed": ("base_seed", int, "base seed for run derivation"),
+    "iters": ("max_iters", int, "iterations per run"),
+    "pop": ("pop_size", int, "population size"),
+    "pc": ("crossover_rate", float, "crossover volume in [0,1]"),
+    "pm": ("mutation_rate", float, "mutation volume in [0,1]"),
+    "elite_fraction": ("elite_fraction", float, "elite share in (0,1]"),
+    "threshold_fraction": ("threshold_fraction", float, "mask threshold share of the elite size"),
+    "weights": ("scenario_weights", _weights, "scenario weights w1,w2,w3"),
+}
+_KINDS = {int: "an integer", float: "a number"}
+_CONFIG_KEYS = (*CONFIG_DEFAULTS, *RUN_SETTINGS)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
@@ -56,34 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gea", description="gene-engineering optimizer and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, many: bool) -> None:
+    for name, grid, help_text in (("run", False, "one (variant, instance) batch"),
+                                  ("bench", True, "variants x instances benchmark grid")):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value configuration file")
-        if many:
+        if grid:
             p.add_argument("--variants", help="comma-separated algorithm variants")
             p.add_argument("--instances", help="comma-separated instance names/paths")
         else:
             p.add_argument("--variant", help=f"algorithm variant: {', '.join(VARIANTS)}")
             p.add_argument("--instance", help="suite name (f1..f6), file path, or knapsack:<n>:<seed>")
-        p.add_argument("--runs", help="independent runs per cell")
-        p.add_argument("--seed", help="base seed for run derivation")
-        p.add_argument("--iters", help="iterations per run")
-        p.add_argument("--pop", help="population size")
-        p.add_argument("--pc", help="crossover volume in [0,1]")
-        p.add_argument("--pm", help="mutation volume in [0,1]")
-        p.add_argument("--elite-fraction", dest="elite_fraction", help="elite share in (0,1]")
-        p.add_argument("--threshold-fraction", dest="threshold_fraction",
-                       help="mask threshold share of the elite size")
-        p.add_argument("--weights", help="scenario weights w1,w2,w3")
+        for key, (_, _, setting_help) in RUN_SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=setting_help)
         p.add_argument("--out", help="output directory (GEA_OUT_DIR as fallback)")
         p.add_argument("--formats", help="outputs to write: csv,table,svg subset")
-
-    run_p = sub.add_parser("run", help="one (variant, instance) batch")
-    add_common(run_p, many=False)
-    run_p.set_defaults(func=cmd_run)
-
-    bench_p = sub.add_parser("bench", help="variants x instances benchmark grid")
-    add_common(bench_p, many=True)
-    bench_p.set_defaults(func=cmd_bench)
+        p.set_defaults(func=cmd_report, grid=grid)
 
     gen_p = sub.add_parser("gen-instance", help="write a seeded routing instance file")
     gen_p.add_argument("n", type=int, help="number of customers")
@@ -115,55 +123,38 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_DEFAULTS:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{line_no}: unknown configuration key: {key}")
         values[key] = value
     return values
 
 
 def merge_config(args: argparse.Namespace) -> dict[str, str]:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; a run setting is a key only
+    when the config file or a flag sets it."""
     merged = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(parse_config_file(args.config))
-    for key in CONFIG_DEFAULTS:
+    for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
     return merged
 
 
-def _to_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise UsageError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _to_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise UsageError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def solver_params(cfg: dict[str, str]) -> dict:
-    weights_text = cfg["weights"].split(",")
-    if len(weights_text) != 3:
-        raise UsageError(f"weights must be w1,w2,w3, got {cfg['weights']!r}")
-    try:
-        weights = tuple(float(w) for w in weights_text)
-    except ValueError:
-        raise UsageError(f"weights must be numbers, got {cfg['weights']!r}") from None
-    return {
-        "pop_size": _to_int(cfg, "pop"),
-        "max_iters": _to_int(cfg, "iters"),
-        "crossover_rate": _to_float(cfg, "pc"),
-        "mutation_rate": _to_float(cfg, "pm"),
-        "elite_fraction": _to_float(cfg, "elite_fraction"),
-        "threshold_fraction": _to_float(cfg, "threshold_fraction"),
-        "scenario_weights": weights,
-    }
+def run_params(cfg: dict[str, str]) -> dict:
+    """The run settings that `cfg` sets, parsed, as keyword arguments of
+    `full_benchmark`; a setting it leaves out keeps the library's default."""
+    params = {}
+    for key, (param, parse, _) in RUN_SETTINGS.items():
+        if key in cfg:
+            try:
+                params[param] = parse(cfg[key])
+            except UsageError:
+                raise
+            except ValueError:
+                raise UsageError(f"{key} must be {_KINDS[parse]}, got {cfg[key]!r}") from None
+    return params
 
 
 def output_dir(cfg: dict[str, str]) -> Path:
@@ -171,7 +162,7 @@ def output_dir(cfg: dict[str, str]) -> Path:
 
 
 def formats(cfg: dict[str, str]) -> set[str]:
-    wanted = {f.strip() for f in cfg["formats"].split(",") if f.strip()}
+    wanted = set(_split_list(cfg["formats"], "formats"))
     unknown = wanted - {"csv", "table", "svg"}
     if unknown:
         raise UsageError(f"unknown report format: {', '.join(sorted(unknown))}")
@@ -231,7 +222,7 @@ def write_outputs(out_dir: Path, files: dict[str, str]) -> list[Path]:
     return written
 
 
-def _report_files(bench: Benchmark, wanted: set[str], grid: bool) -> dict[str, str]:
+def _report_files(bench, wanted: set[str], grid: bool) -> dict[str, str]:
     # a grid (bench) report adds intervals.csv and a chart per instance
     files: dict[str, str] = {}
     if "csv" in wanted:
@@ -251,38 +242,27 @@ def _report_files(bench: Benchmark, wanted: set[str], grid: bool) -> dict[str, s
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
+    """`bench` fits a grid of variants x instances, `run` the one cell of
+    --variant and --instance; both write the reports and print a summary."""
     cfg = merge_config(args)
     wanted = formats(cfg)
     out_dir = output_dir(cfg)
-    variant = cfg["variant"]
-    problem = resolve_problem(cfg["instance"])
-    batch = run_batch(problem, variant=variant, runs=_to_int(cfg, "runs"),
-                      base_seed=_to_int(cfg, "seed"), **solver_params(cfg))
-    bench = Benchmark((variant,), (problem.name,), (batch,))
-    files = _report_files(bench, wanted, grid=False)
-    paths = write_outputs(out_dir, files)
+    if args.grid:
+        variants = _split_list(cfg["variants"], "variants")
+        tokens = _split_list(cfg["instances"], "instances")
+    else:
+        variants, tokens = [cfg["variant"]], [cfg["instance"]]
+    problems = [resolve_problem(token) for token in tokens]
+    bench = full_benchmark(problems, variants=variants, **run_params(cfg))
+    paths = write_outputs(out_dir, _report_files(bench, wanted, args.grid))
 
-    s = batch.stats()
-    print(f"{variant} on {problem.name}: best={format_cost(s.best)} "
-          f"worst={format_cost(s.worst)} mean={format_cost(s.mean)} std={format_cost(s.std)}")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    wanted = formats(cfg)
-    out_dir = output_dir(cfg)
-    variants = _split_list(cfg["variants"], "variants")
-    problems = [resolve_problem(token) for token in _split_list(cfg["instances"], "instances")]
-    bench = full_benchmark(problems, variants=variants, runs=_to_int(cfg, "runs"),
-                           base_seed=_to_int(cfg, "seed"), **solver_params(cfg))
-    files = _report_files(bench, wanted, grid=True)
-    paths = write_outputs(out_dir, files)
-
-    print(bench.table_text(), end="")
+    if args.grid:
+        print(bench.table_text(), end="")
+    else:
+        s = bench.results[0].stats()
+        print(f"{variants[0]} on {problems[0].name}: best={format_cost(s.best)} "
+              f"worst={format_cost(s.worst)} mean={format_cost(s.mean)} std={format_cost(s.std)}")
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import derive_run_seed
-from .solver import VARIANT_IDS, VARIANTS, GeaSolver, _check_variant
+from .solver import VARIANT_IDS, VARIANTS, GeaSolver, _check_int, _check_variant
 
 
 def format_cost(value: float) -> str:
@@ -66,9 +66,9 @@ def compute_stats(costs: Sequence[float]) -> StatsRow:
 def run_batch(problem, variant: str = "gea", runs: int = 10, base_seed: int = 0,
               **solver_params) -> BatchResult:
     """`runs` independent runs; run r of a variant always sees the same stream."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_int("runs", runs, 1)
     _check_variant(variant)
+    _check_int("base_seed", base_seed, 0)
     costs = np.empty(runs, dtype=np.float64)
     traces = []
     for run_index in range(runs):

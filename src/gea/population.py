@@ -15,8 +15,8 @@ class Population:
     the i-th best genome. Costs are checked to be one finite number per row
     and stably sorted; survivors enter through the private `_kept`, sorted
     and checked. Each row's 64-bit fingerprint is computed once, when it
-    enters, and kept beside it for survivor dedup, so the gene matrix is not
-    to be written in place.
+    enters, and kept beside it for survivor dedup, so the gene matrix, a copy
+    the population owns, is read-only.
     """
 
     __slots__ = ("genes", "costs", "_fingerprints")
@@ -31,6 +31,7 @@ class Population:
         costs = _checked_costs(costs, genes.shape[0])
         order = np.argsort(costs, kind="stable")
         self.genes, self.costs = genes[order], costs[order]
+        self.genes.flags.writeable = False
         self._fingerprints = _row_fingerprints(self.genes)
 
     @classmethod
@@ -38,6 +39,7 @@ class Population:
         """Rows already sorted and checked, with their fingerprints carried over."""
         pop = cls.__new__(cls)
         pop.genes, pop.costs, pop._fingerprints = genes, costs, fingerprints
+        genes.flags.writeable = False
         return pop
 
     def __len__(self) -> int:

@@ -1,9 +1,12 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gea.cli import main
+from gea import GeaSolver
+from gea.cli import RUN_SETTINGS, build_parser, main, merge_config, resolve_problem, run_params
+from gea.harness import Benchmark, run_batch
 from gea.problems import (format_instance, generate_instance, load_instance,
                           vrp_brute_force)
 
@@ -210,6 +213,13 @@ class TestBench:
         assert main(["bench", "--formats", "pdf"]) == 1
         assert "pdf" in capsys.readouterr().err
 
+    def test_no_format_rejected_before_any_fit(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bench", "--formats", ",", "--variants", "ga", "--instances", "f1",
+                     "--runs", "1", "--iters", "2", "--out", str(out)]) == 1
+        assert "no formats given" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParsing:
     def test_missing_subcommand_exit_1(self, capsys):
@@ -218,7 +228,34 @@ class TestParsing:
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["run", "--bogus-flag", "1"]) == 1
 
-    def test_weights_flag_must_have_three_entries(self, capsys):
-        assert main(["run", "--variant", "gea", "--instance", "f1",
-                     "--weights", "0.5,0.5"]) == 1
-        assert "weights" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--weights", "0.5,0.5", "weights must be w1,w2,w3, got '0.5,0.5'"),
+        ("--weights", "0.5,x,0.2", "weights must be numbers, got '0.5,x,0.2'"),
+        ("--iters", "x", "iters must be an integer, got 'x'"),
+        ("--pc", "0,8", "pc must be a number, got '0,8'"),
+        ("--seed", "-1", "base_seed must be >= 0, got -1"),
+    ])
+    def test_bad_run_setting_named(self, flag, value, message, capsys):
+        assert main(["run", "--variant", "gea", "--instance", "f1", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestRunSettings:
+    def test_each_names_a_library_parameter(self):
+        params = (inspect.signature(run_batch).parameters.keys()
+                  | inspect.signature(GeaSolver.__init__).parameters.keys())
+        assert {param for param, _, _ in RUN_SETTINGS.values()} <= params
+
+    def test_unset_settings_are_left_to_the_library(self, tmp_path):
+        config = tmp_path / "gea.cfg"
+        config.write_text("variant = ga\ninstance = f2\n", encoding="utf-8")
+        args = build_parser().parse_args(["run", "--config", str(config)])
+        assert run_params(merge_config(args)) == {}
+
+    def test_run_matches_run_batch_with_library_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--instance", "f2", "--runs", "2", "--iters", "20",
+                     "--out", str(out)]) == 0
+        batch = run_batch(resolve_problem("f2"), runs=2, max_iters=20)
+        expected = Benchmark(("gea",), ("f2",), (batch,)).results_csv()
+        assert (out / "results.csv").read_text() == expected

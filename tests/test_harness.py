@@ -94,13 +94,19 @@ class TestRunBatch:
         assert np.array_equal(a.run_costs, b.run_costs)
         assert np.array_equal(a.traces, b.traces)
 
-    def test_runs_guard(self):
-        with pytest.raises(ValueError):
-            run_batch(OneMax(4), runs=0)
+    @pytest.mark.parametrize("runs", [0, 1.5, "3", True])
+    def test_runs_guard(self, runs):
+        with pytest.raises(ValueError, match="runs must be"):
+            run_batch(OneMax(4), runs=runs)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             run_batch(OneMax(4), variant="abc")
+
+    @pytest.mark.parametrize("base_seed", [-1, 1.5, "3", True])
+    def test_base_seed_must_be_a_non_negative_integer(self, base_seed):
+        with pytest.raises(ValueError, match="base_seed must be"):
+            run_batch(OneMax(4), runs=1, base_seed=base_seed, pop_size=4, max_iters=1)
 
 
 class TestSeedDerivation:

@@ -139,6 +139,17 @@ class TestPopulation:
         assert pop.genes.dtype == dtype
         assert pop.genes.tolist() == [[0, 1, 1], [1, 0, 1]]
 
+    def test_genes_are_read_only_and_the_input_is_not(self):
+        # a row written in place would keep its old fingerprint and break dedup
+        genes = np.array([[0, 1], [1, 0], [1, 1]])
+        pop = Population(genes, np.array([1.0, 2.0, 3.0]))
+        survivors = pop.select_survivors(np.array([[0, 0]]), np.array([1.5]))
+        for out in (pop, survivors):
+            with pytest.raises(ValueError, match="read-only"):
+                out.genes[1] = out.genes[0]
+        genes[1] = genes[0]
+        assert pop.genes.tolist() == [[0, 1], [1, 0], [1, 1]]
+
 
 class TestInitPopulation:
     def test_binary_population_sorted_and_valid(self):

@@ -105,6 +105,8 @@ class TestFit:
         problem = VehicleRouting(generate_instance(5, 2, 8))
         solver = GeaSolver(pop_size=15, max_iters=40, seed=2).fit(problem)
         assert problem.evaluate(solver.best_genes_) == pytest.approx(solver.best_cost_)
+        # a copy of the read-only population row, free to write
+        solver.best_genes_[0] = solver.best_genes_[0]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_genes_stay_in_domain_dtype(self, variant):
