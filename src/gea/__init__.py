@@ -5,24 +5,21 @@ mutation and gene injection, plus exact small-instance oracles and a
 reproducible benchmark harness.
 """
 
-from .engineering import build_mask, dominant_chromosome, repetition_matrix
 from .genome import DomainKind, GeneDomain
 from .harness import (BatchResult, Benchmark, IntervalRow, StatsRow, compute_stats,
                       confidence_interval, full_benchmark, interval_data, run_batch)
-from .population import Population, init_population
+from .population import Population
 from .problems import (Knapsack, KnapsackInstance, OneMax, Problem, VehicleRouting,
                        VrpInstance, generate_instance, generate_knapsack_instance,
                        knapsack_dp_optimum, load_instance, standard_suite,
                        vrp_brute_force, vrp_decode, write_instance)
-from .rng import derive_run_seed, make_rng, split_streams
+from .rng import derive_run_seed
 from .solver import VARIANTS, GeaSolver
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DomainKind", "GeneDomain", "Population",
-    "init_population",
-    "repetition_matrix", "dominant_chromosome", "build_mask",
     "GeaSolver", "VARIANTS",
     "Problem", "OneMax", "Knapsack", "KnapsackInstance", "VehicleRouting",
     "VrpInstance", "generate_instance", "generate_knapsack_instance",
@@ -30,6 +27,6 @@ __all__ = [
     "vrp_decode", "write_instance",
     "StatsRow", "IntervalRow", "BatchResult", "Benchmark", "compute_stats",
     "confidence_interval", "interval_data", "run_batch", "full_benchmark",
-    "make_rng", "split_streams", "derive_run_seed",
+    "derive_run_seed",
     "__version__",
 ]

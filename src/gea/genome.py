@@ -21,6 +21,15 @@ import numpy as np
 Genome = np.ndarray
 
 
+def _check_int(name: str, value, minimum: int) -> int:
+    """`value` as an int; a ValueError naming `name` if it is no integer or below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 class DomainKind(Enum):
     BINARY = "binary"
     PERMUTATION = "permutation"
@@ -33,8 +42,10 @@ class GeneDomain:
     n_items: int = 0
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+        if not isinstance(self.kind, DomainKind):
+            raise ValueError(f"kind must be a DomainKind, got {self.kind!r}")
+        _check_int("n_items", self.n_items, 0)
+        _check_int("length", self.length, 1)
         if self.kind is DomainKind.PERMUTATION:
             if not 1 <= self.n_items <= self.length:
                 raise ValueError(
@@ -66,12 +77,6 @@ class GeneDomain:
         """Storage type of every gene matrix in this domain."""
         return np.min_scalar_type(self.n_symbols - 1)
 
-    @property
-    def n_separators(self) -> int:
-        if self.kind is DomainKind.BINARY:
-            return 0
-        return self.length - self.n_items
-
     def contains(self, genes: np.ndarray) -> bool:
         genes = np.asarray(genes)
         if genes.shape != (self.length,):
@@ -89,9 +94,6 @@ class GeneDomain:
         if not self.contains(arr):
             raise ValueError(f"genome {arr.tolist()} is not a member of {self.kind.value} domain")
         return arr.astype(self.dtype)
-
-    def sample(self, rng: np.random.Generator) -> Genome:
-        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Uniform genomes: fair independent bits, or unbiased per-row shuffles."""

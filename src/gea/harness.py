@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .genome import _check_int
 from .rng import derive_run_seed
-from .solver import VARIANT_IDS, VARIANTS, GeaSolver, _check_int, _check_variant
+from .solver import VARIANT_IDS, VARIANTS, GeaSolver, _check_variant, _problem_domain
 
 
 def format_cost(value: float) -> str:
@@ -171,17 +172,24 @@ class Benchmark:
 
 def full_benchmark(problems: Sequence, variants: Sequence[str] = VARIANTS,
                    runs: int = 10, base_seed: int = 0, **solver_params) -> Benchmark:
+    # a string iterates as characters, so it is no sequence of names here
+    for label, value in (("problems", problems), ("variants", variants)):
+        if isinstance(value, (str, bytes)):
+            raise ValueError(f"{label} must be a sequence, not a string: got {value!r}")
     if not problems or not variants:
         raise ValueError("need at least one problem and one variant")
+    # every problem and variant is checked before the first fit, not when its
+    # batch comes up
+    for problem in problems:
+        _problem_domain(problem)
+    for variant in variants:
+        _check_variant(variant)
     # a report cell is keyed by (variant, instance name), so both must be unique
     for label, keys in (("instance names", [p.name for p in problems]),
                         ("variants", list(variants))):
         repeated = sorted({key for key in keys if keys.count(key) > 1})
         if repeated:
             raise ValueError(f"duplicate {label}: {', '.join(repeated)}")
-    # every variant is checked before the first fit, not when its batch comes up
-    for variant in variants:
-        _check_variant(variant)
     results = tuple(
         run_batch(problem, variant=variant, runs=runs, base_seed=base_seed,
                   **solver_params)

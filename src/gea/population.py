@@ -16,7 +16,8 @@ class Population:
     and stably sorted; survivors enter through the private `_kept`, sorted
     and checked. Each row's 64-bit fingerprint is computed once, when it
     enters, and kept beside it for survivor dedup, so the gene matrix, a copy
-    the population owns, is read-only.
+    the population owns, is read-only; so are the costs, whose order
+    `best_cost` and survivor selection rely on.
     """
 
     __slots__ = ("genes", "costs", "_fingerprints")
@@ -27,11 +28,14 @@ class Population:
             raise ValueError(f"genes must be a (size, L) matrix, got shape {genes.shape}")
         if genes.shape[0] == 0:
             raise ValueError("population cannot be empty")
-        _check_gene_dtype(genes)
+        # fingerprints hash bytes and the exact fallback compares values: on
+        # integers they agree, on floats not (0.0 and -0.0)
+        if genes.dtype.kind not in "biu":
+            raise ValueError(f"Population genes must be bool or integer, got dtype {genes.dtype}")
         costs = _checked_costs(costs, genes.shape[0])
         order = np.argsort(costs, kind="stable")
         self.genes, self.costs = genes[order], costs[order]
-        self.genes.flags.writeable = False
+        self.genes.flags.writeable = self.costs.flags.writeable = False
         self._fingerprints = _row_fingerprints(self.genes)
 
     @classmethod
@@ -39,7 +43,7 @@ class Population:
         """Rows already sorted and checked, with their fingerprints carried over."""
         pop = cls.__new__(cls)
         pop.genes, pop.costs, pop._fingerprints = genes, costs, fingerprints
-        genes.flags.writeable = False
+        genes.flags.writeable = costs.flags.writeable = False
         return pop
 
     def __len__(self) -> int:
@@ -60,26 +64,25 @@ class Population:
         solution; duplicates fill the remainder only in tiny domains.
         Distinctness is exact genome equality (`_first_in_cost_order`); only
         the offspring are fingerprinted, since parents keep theirs. Offspring
-        come as an (m, L) bool or integer matrix and m costs, taken as finite
-        (a fit checks them as the problem returns them).
+        come as an (m, L) matrix in the population's dtype, since
+        fingerprints hash row bytes, and m costs, taken as finite (a fit
+        checks them as the problem returns them).
         """
         offspring_costs = np.asarray(offspring_costs, dtype=np.float64)
         shape, loci = offspring_genes.shape, self.genes.shape[1]
+        if offspring_genes.dtype != self.genes.dtype:
+            raise ValueError(f"Population of dtype {self.genes.dtype}: offspring_genes "
+                             f"of dtype {offspring_genes.dtype}")
         if shape[1:] != (loci,) or offspring_costs.shape != shape[:1]:
             raise ValueError(f"Population of {loci} loci: offspring genes of shape {shape} "
                              f"and costs of shape {offspring_costs.shape} do not match")
-        _check_gene_dtype(offspring_genes)
         if shape[0] == 0:
             return self
         size = len(self)
         genes = np.concatenate([self.genes, offspring_genes])
         costs = np.concatenate([self.costs, offspring_costs])
         order = np.argsort(costs, kind="stable")
-        # fingerprints hash row bytes, so they are comparable in one dtype only
-        if genes.dtype == self.genes.dtype:
-            prints = np.concatenate([self._fingerprints, _row_fingerprints(genes[size:])])
-        else:
-            prints = _row_fingerprints(genes)
+        prints = np.concatenate([self._fingerprints, _row_fingerprints(offspring_genes)])
 
         # ranks index the cost order; only the kept rows are ever gathered
         is_first = _first_in_cost_order(genes, order, prints)
@@ -91,13 +94,6 @@ class Population:
             keep = np.sort(np.concatenate([first_ranks, duplicates]))
         rows = order[keep]
         return Population._kept(genes.take(rows, axis=0), costs[rows], prints[rows])
-
-
-def _check_gene_dtype(genes: np.ndarray) -> None:
-    # fingerprints hash bytes and the exact fallback compares values: on
-    # integers they agree, on floats not (0.0 and -0.0)
-    if genes.dtype.kind not in "biu":
-        raise ValueError(f"Population genes must be bool or integer, got dtype {genes.dtype}")
 
 
 def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,

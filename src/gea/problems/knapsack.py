@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome import GeneDomain
-from ..rng import make_rng
+from ..genome import GeneDomain, _check_int
 from .base import Problem
 
 # items x (capacity + 1): the work of the DP, and a bound on its capacity row
@@ -107,9 +106,9 @@ def knapsack_dp_optimum(instance: KnapsackInstance) -> float:
 
 def generate_knapsack_instance(n_items: int, seed: int) -> KnapsackInstance:
     """Seeded instance with integer weights/values; capacity ~55% of total weight."""
-    if n_items < 1:
-        raise ValueError("n_items must be positive")
-    rng = make_rng(seed)
+    _check_int("n_items", n_items, 1)
+    _check_int("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     weights = rng.integers(1, 31, size=n_items)
     values = rng.integers(1, 51, size=n_items)
     capacity = int(math.ceil(0.55 * float(weights.sum())))

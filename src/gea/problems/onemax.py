@@ -10,11 +10,9 @@ from .base import Problem
 
 class OneMax(Problem):
     def __init__(self, length: int):
-        if length < 1:
-            raise ValueError("length must be positive")
+        self._domain = GeneDomain.binary(length)
         self.length = length
         self.name = f"onemax-{length}"
-        self._domain = GeneDomain.binary(length)
 
     def domain(self) -> GeneDomain:
         return self._domain

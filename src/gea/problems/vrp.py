@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..genome import GeneDomain, Genome
-from ..rng import make_rng
+from ..genome import GeneDomain, Genome, _check_int
 from .base import Problem
 
 BRUTE_FORCE_MAX_CUSTOMERS = 8
@@ -44,7 +43,8 @@ class VrpInstance:
     def __post_init__(self) -> None:
         if not self.customers:
             raise ValueError("instance needs at least one customer")
-        if not 1 <= self.n_vehicles <= len(self.customers):
+        _check_int("n_vehicles", self.n_vehicles, 1)
+        if self.n_vehicles > len(self.customers):
             raise ValueError(
                 f"need 1 <= vehicles <= customers, got K={self.n_vehicles}, "
                 f"n={len(self.customers)}"
@@ -111,9 +111,9 @@ def vrp_decode(instance: VrpInstance, genes: Genome) -> list[list[int]]:
 def generate_instance(n_customers: int, n_vehicles: int, seed: int,
                       name: str | None = None) -> VrpInstance:
     """Seeded instance: depot at (50, 50), customers uniform on [0, 100]^2."""
-    if n_vehicles > n_customers:
-        raise ValueError(f"vehicles ({n_vehicles}) must not exceed customers ({n_customers})")
-    rng = make_rng(seed)
+    _check_int("n_customers", n_customers, 1)
+    _check_int("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, 100.0, size=(n_customers, 2))
     return VrpInstance(
         name=name or f"vrp{n_customers}x{n_vehicles}s{seed}",

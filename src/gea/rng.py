@@ -11,20 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-RngStream = np.random.Generator
 
-
-def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> RngStream:
-    """Return a deterministic generator; generators pass through untouched."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def split_streams(seed: int, n: int = 2) -> tuple[RngStream, ...]:
-    """Spawn `n` independent child streams from one seed."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return tuple(np.random.default_rng(child) for child in children)
+def split_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Spawn the operator and scheduler streams of one run from its seed."""
+    operators, scheduler = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(operators), np.random.default_rng(scheduler)
 
 
 def derive_run_seed(base_seed: int, variant_id: int, run_index: int) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
                           directed_mutation_batch, gene_injection_batch,
                           repetition_matrix)
-from .genome import GeneDomain
+from .genome import GeneDomain, _check_int
 from .operators import crossover_batch, mutate_batch
 from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
                          roulette_indices)
@@ -71,12 +71,15 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _check_int(name: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+def _problem_domain(problem) -> GeneDomain:
+    """The domain of a problem that keeps the `Problem` contract, or a
+    ValueError that names the contract and the type it got."""
+    domain, evaluate = getattr(problem, "domain", None), getattr(problem, "evaluate_batch", None)
+    domain = domain() if callable(domain) and callable(evaluate) else None
+    if not isinstance(domain, GeneDomain):
+        raise ValueError(f"problem must keep the Problem contract (callable domain() returning "
+                         f"a GeneDomain, callable evaluate_batch), got {type(problem).__name__}")
+    return domain
 
 
 def _check_fraction(name: str, value, low_open: bool = False) -> float:
@@ -246,7 +249,7 @@ class GeaSolver:
 
     # -- fitting -------------------------------------------------------------
     def fit(self, problem) -> "GeaSolver":
-        generation = _Generation(self, problem.domain())
+        generation = _Generation(self, _problem_domain(problem))
         rng, scheduler_rng = split_streams(generation.seed)
         pop = init_population(problem, generation.size, rng)
 

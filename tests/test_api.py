@@ -1,7 +1,86 @@
+import numpy as np
+import pytest
+
 import gea
+from gea import (DomainKind, GeaSolver, GeneDomain, OneMax, VrpInstance,
+                 generate_instance, generate_knapsack_instance, run_batch, standard_suite)
+
+# the public surface; widening it is a deliberate change to this list
+PUBLIC_NAMES = [
+    "BatchResult", "Benchmark", "DomainKind", "GeaSolver", "GeneDomain", "IntervalRow",
+    "Knapsack", "KnapsackInstance", "OneMax", "Population", "Problem", "StatsRow",
+    "VARIANTS", "VehicleRouting", "VrpInstance", "__version__", "compute_stats",
+    "confidence_interval", "derive_run_seed", "full_benchmark", "generate_instance",
+    "generate_knapsack_instance", "interval_data", "knapsack_dp_optimum", "load_instance",
+    "run_batch", "standard_suite", "vrp_brute_force", "vrp_decode", "write_instance",
+]
 
 
 def test_every_exported_name_imports():
     namespace = {}
     exec("from gea import *", namespace)  # raises on a stale name in __all__
     assert set(gea.__all__) <= namespace.keys()
+
+
+def test_public_names_are_pinned():
+    assert sorted(gea.__all__) == PUBLIC_NAMES
+
+
+class NoEvaluate:
+    def domain(self):
+        return GeneDomain.binary(3)
+
+
+class DomainNotGeneDomain(NoEvaluate):
+    def domain(self):
+        return "binary"
+
+    def evaluate_batch(self, genomes):
+        return np.zeros(len(genomes))
+
+
+def vrp(n_vehicles):
+    return VrpInstance("x", n_vehicles, (0.0, 0.0), ((1.0, 1.0), (2.0, 2.0)))
+
+
+# (call with one bad value, pattern its ValueError must match). The rows of
+# full_benchmark are in test_harness.py, which also checks that no fit starts;
+# offspring of another dtype are in test_population.py
+MISUSE = {
+    "fit-instance-not-problem": (lambda: GeaSolver(max_iters=1).fit(standard_suite()[0]),
+                                 "Problem contract.*got VrpInstance"),
+    "fit-no-evaluate_batch": (lambda: GeaSolver(max_iters=1).fit(NoEvaluate()),
+                              "Problem contract.*got NoEvaluate"),
+    "fit-domain-not-GeneDomain": (lambda: GeaSolver(max_iters=1).fit(DomainNotGeneDomain()),
+                                  "Problem contract.*got DomainNotGeneDomain"),
+    "run_batch-instance-not-problem": (lambda: run_batch(standard_suite()[0], max_iters=1),
+                                       "Problem contract.*got VrpInstance"),
+    "GeneDomain-kind-str": (lambda: GeneDomain("binary", 3), "kind must be a DomainKind"),
+    "GeneDomain-length-float": (lambda: GeneDomain.binary(2.5), "length must be an integer"),
+    "GeneDomain-length-str": (lambda: GeneDomain.binary("3"), "length must be an integer"),
+    "GeneDomain-n_items-float": (lambda: GeneDomain.permutation(2.5),
+                                 "n_items must be an integer"),
+    "GeneDomain-n_items-bool": (lambda: GeneDomain(DomainKind.PERMUTATION, 2, True),
+                                "n_items must be an integer"),
+    "OneMax-length-float": (lambda: OneMax(2.5), "length must be an integer"),
+    "OneMax-length-zero": (lambda: OneMax(0), "length must be >= 1"),
+    "VrpInstance-n_vehicles-float": (lambda: vrp(2.5), "n_vehicles must be an integer"),
+    "VrpInstance-n_vehicles-bool": (lambda: vrp(True), "n_vehicles must be an integer"),
+    "VrpInstance-n_vehicles-zero": (lambda: vrp(0), "n_vehicles must be >= 1"),
+    "generate_instance-n_customers-float": (lambda: generate_instance(5.5, 2, 1),
+                                            "n_customers must be an integer"),
+    "generate_instance-n_vehicles-float": (lambda: generate_instance(5, 2.5, 1),
+                                           "n_vehicles must be an integer"),
+    "generate_instance-seed-negative": (lambda: generate_instance(5, 2, -1),
+                                        "seed must be >= 0"),
+    "generate_knapsack_instance-n_items-float": (lambda: generate_knapsack_instance(2.5, 1),
+                                                 "n_items must be an integer"),
+    "generate_knapsack_instance-seed-float": (lambda: generate_knapsack_instance(5, 1.5),
+                                              "seed must be an integer"),
+}
+
+
+@pytest.mark.parametrize("call,pattern", MISUSE.values(), ids=MISUSE.keys())
+def test_misuse_raises_a_value_error_that_names_it(call, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        call()

@@ -7,7 +7,6 @@ from gea.engineering import (build_mask, directed_mutation_batch, dominant_candi
                              dominant_chromosome, gene_injection_batch, repetition_matrix)
 from gea.genome import GeneDomain
 from gea.operators import mutate_batch
-from gea.rng import make_rng
 
 
 def dominant_of(elite):
@@ -76,7 +75,7 @@ class TestDominantChromosome:
         assert repeat_counts.tolist() == [3, 3, 3]
 
     def test_matches_independent_oracle(self):
-        rng = make_rng(99)
+        rng = np.random.default_rng(99)
         for trial in range(3000):
             m = int(rng.integers(1, 7))
             if trial % 3 == 0:
@@ -151,7 +150,7 @@ class TestDirectedMutation:
     def test_all_ones_mask_is_identity(self):
         dom = GeneDomain.binary(3)
         g = np.array([[1, 0, 1]])
-        out = directed_mutation_batch(dom, g, np.array([1, 1, 1]), make_rng(0))
+        out = directed_mutation_batch(dom, g, np.array([1, 1, 1]), np.random.default_rng(0))
         assert out.tolist() == g.tolist()
 
     def test_permutation_forced_swap(self, scripted_rng):
@@ -164,27 +163,28 @@ class TestDirectedMutation:
     def test_permutation_single_free_locus_is_identity(self):
         dom = GeneDomain.permutation(3)
         g = np.array([[2, 3, 1]])
-        out = directed_mutation_batch(dom, g, np.array([1, 0, 1]), make_rng(0))
+        out = directed_mutation_batch(dom, g, np.array([1, 0, 1]), np.random.default_rng(0))
         assert out.tolist() == g.tolist()
 
     def test_mask_length_must_match(self):
         dom = GeneDomain.binary(3)
         with pytest.raises(ValueError, match="mask length"):
-            directed_mutation_batch(dom, np.array([[0, 1, 0]]), np.array([1, 0]), make_rng(0))
+            directed_mutation_batch(dom, np.array([[0, 1, 0]]), np.array([1, 0]),
+                                    np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_all_zero_mask_matches_mutate_batch(self, kind):
         # one mutation kernel: an open mask leaves every locus to draw from
         dom = GeneDomain.binary(8) if kind == "binary" else GeneDomain.permutation(6, 2)
-        genomes = dom.sample_batch(make_rng(4), 200)
+        genomes = dom.sample_batch(np.random.default_rng(4), 200)
         directed = directed_mutation_batch(dom, genomes, np.zeros(dom.length, dtype=np.int64),
-                                           make_rng(8))
-        assert np.array_equal(directed, mutate_batch(dom, genomes, make_rng(8)))
+                                           np.random.default_rng(8))
+        assert np.array_equal(directed, mutate_batch(dom, genomes, np.random.default_rng(8)))
         assert (directed != genomes).any()
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_masked_loci_never_change(self, kind):
-        rng = make_rng(31)
+        rng = np.random.default_rng(31)
         dom = GeneDomain.binary(8) if kind == "binary" else GeneDomain.permutation(6, 2)
         for _ in range(100):
             mask_bits = rng.integers(0, 2, size=dom.length)
@@ -219,15 +219,15 @@ class TestGeneInjection:
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_lengths_must_match(self, kind):
         dom = GeneDomain.binary(4) if kind == "binary" else GeneDomain.permutation(4)
-        genomes = dom.sample_batch(make_rng(0), 2)
-        dc_genes = dom.sample(make_rng(1))
+        genomes = dom.sample_batch(np.random.default_rng(0), 2)
+        dc_genes = dom.sample_batch(np.random.default_rng(1), 1)[0]
         with pytest.raises(ValueError, match="genome length"):
             gene_injection_batch(dom, genomes, np.array([1, 0]), dc_genes)
         with pytest.raises(ValueError, match="genome length"):
             gene_injection_batch(dom, genomes, np.ones(4, dtype=np.int64), dc_genes[:3])
 
     def test_injection_postconditions_randomized(self):
-        rng = make_rng(77)
+        rng = np.random.default_rng(77)
         bin_dom = GeneDomain.binary(9)
         perm_dom = GeneDomain.permutation(6, separators=2)
         for _ in range(100):
@@ -239,7 +239,7 @@ class TestGeneInjection:
             assert np.array_equal(out, expected)
 
             pbits = rng.integers(0, 2, size=perm_dom.length)
-            pdc = perm_dom.sample(rng)
+            pdc = perm_dom.sample_batch(rng, 1)[0]
             perms = perm_dom.sample_batch(rng, 100)
             pout = gene_injection_batch(perm_dom, perms, pbits, pdc)
             assert np.array_equal(np.sort(pout, axis=1),
@@ -256,12 +256,13 @@ class TestMaskReading:
         # both kernels read the mask as bool, so an entry of 2 fixes its locus
         # exactly as True does
         dom = GeneDomain.binary(6) if kind == "binary" else GeneDomain.permutation(6)
-        genomes = dom.sample_batch(make_rng(5), 50)
-        dc_genes = dom.sample(make_rng(6))
+        genomes = dom.sample_batch(np.random.default_rng(5), 50)
+        dc_genes = dom.sample_batch(np.random.default_rng(6), 1)[0]
         twos = np.array([2, 0, 0, 2, 0, 0])
         fixed = twos != 0
-        assert np.array_equal(directed_mutation_batch(dom, genomes, twos, make_rng(7)),
-                              directed_mutation_batch(dom, genomes, fixed, make_rng(7)))
+        assert np.array_equal(
+            directed_mutation_batch(dom, genomes, twos, np.random.default_rng(7)),
+            directed_mutation_batch(dom, genomes, fixed, np.random.default_rng(7)))
         injected = gene_injection_batch(dom, genomes, twos, dc_genes)
         assert np.array_equal(injected, gene_injection_batch(dom, genomes, fixed, dc_genes))
         assert (injected[:, fixed] == dc_genes[fixed]).all()
@@ -313,14 +314,14 @@ class TestDominantCandidate:
             return [fixed[locus] if locus in fixed else next(fill)
                     for locus in range(len(dominant))]
 
-        rng = make_rng(13)
+        rng = np.random.default_rng(13)
         for trial in range(1000):
             dom = GeneDomain.permutation(int(rng.integers(2, 9)), int(rng.integers(0, 4)))
             if trial % 4 == 0:
-                genes = dom.sample(rng)  # already a valid genome
+                genes = dom.sample_batch(rng, 1)[0]  # already a valid genome
             else:
                 genes = rng.choice(dom.alphabet, size=dom.length)
-            template = dom.sample(rng)
+            template = dom.sample_batch(rng, 1)[0]
             out = dominant_candidate(dom, genes, template)
             assert out.tolist() == repair(genes.tolist(), template.tolist())
             assert dom.contains(out)

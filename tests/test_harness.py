@@ -183,7 +183,9 @@ class TestFullBenchmark:
         with pytest.raises(ValueError, match="duplicate variants: gea"):
             full_benchmark([OneMax(4)], variants=("gea", "ga", "gea"), runs=1, max_iters=2)
 
-    def test_unknown_variant_rejected_before_any_fit(self, monkeypatch):
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The variant of every fit started while the test runs."""
         fits = []
         fit = GeaSolver.fit
 
@@ -192,8 +194,24 @@ class TestFullBenchmark:
             return fit(solver, problem)
 
         monkeypatch.setattr(GeaSolver, "fit", counted)
+        return fits
+
+    def test_unknown_variant_rejected_before_any_fit(self, fits):
         with pytest.raises(ValueError, match="'bogus'"):
             full_benchmark([OneMax(4)], variants=("ga", "bogus"), runs=2, max_iters=2)
+        assert fits == []
+
+    @pytest.mark.parametrize("problems,variants,pattern", [
+        ([OneMax(4), generate_instance(5, 2, 1)], ("ga",), "Problem contract.*VrpInstance"),
+        ([OneMax(4)], "gea", "variants must be a sequence, not a string: got 'gea'"),
+        ([OneMax(4)], b"ga", "variants must be a sequence, not a string"),
+        ("f1", ("ga",), "problems must be a sequence, not a string: got 'f1'"),
+    ], ids=["instance-not-problem", "variants-str", "variants-bytes", "problems-str"])
+    def test_bad_problem_or_string_rejected_before_any_fit(self, fits, problems, variants,
+                                                            pattern):
+        # a string would iterate as characters: variants="gea" would name 'g'
+        with pytest.raises(ValueError, match=pattern):
+            full_benchmark(problems, variants=variants, runs=2, max_iters=2)
         assert fits == []
 
     def test_smoke_suite_is_fast(self):

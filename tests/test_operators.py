@@ -4,7 +4,6 @@ import pytest
 from gea.genome import DomainKind, GeneDomain
 from gea.operators import (_ox_batch, _single_point_batch, crossover_batch, mutate_batch,
                            mutate_loci)
-from gea.rng import make_rng
 
 BIN4 = GeneDomain.binary(4)
 PERM5 = GeneDomain.permutation(5)
@@ -40,7 +39,7 @@ class TestSinglePointOracle:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     @pytest.mark.parametrize("length", [2, 8, 255, 256, 300])
     def test_bit_equal_to_reference(self, length, dtype):
-        rng = make_rng(length)
+        rng = np.random.default_rng(length)
         m = 40
         info = np.iinfo(dtype)
         # any integer genes, not only 0/1: full-range values, negatives for int64
@@ -79,7 +78,7 @@ class TestOrderCrossover:
         # so fits replay the streams of the two-call form
         for seed in range(20):
             for m in (1, 7, 40, 45):
-                one, two = make_rng(seed), make_rng(seed)
+                one, two = np.random.default_rng(seed), np.random.default_rng(seed)
                 a, b = one.integers(0, length, size=(2, m))
                 assert np.array_equal(a, two.integers(0, length, size=m))
                 assert np.array_equal(b, two.integers(0, length, size=m))
@@ -87,7 +86,7 @@ class TestOrderCrossover:
 
     def test_closure_over_random_cases(self):
         # permutation invariant must survive 10^4 randomized crossovers
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         dom = GeneDomain.permutation(7, separators=2)
         sorted_alphabet = dom.alphabet
         for _ in range(100):
@@ -99,7 +98,7 @@ class TestOrderCrossover:
                                       np.tile(sorted_alphabet, (100, 1)))
 
     def test_binary_closure(self):
-        rng = make_rng(5)
+        rng = np.random.default_rng(5)
         dom = GeneDomain.binary(9)
         p1 = dom.sample_batch(rng, 10_000)
         p2 = dom.sample_batch(rng, 10_000)
@@ -137,7 +136,7 @@ class TestOxKernelOracle:
         GeneDomain.permutation(290, separators=10),  # 300 symbols: uint16 genes
     ], ids=lambda d: f"L{d.length}")
     def test_bit_equal_to_reference(self, domain):
-        rng = make_rng(domain.length)
+        rng = np.random.default_rng(domain.length)
         m, length = 60, domain.length
         seg_parent, fill_parent = domain.sample_batch(rng, m), domain.sample_batch(rng, m)
         a, b = rng.integers(0, length, size=m), rng.integers(0, length, size=m)
@@ -154,7 +153,7 @@ class TestOxKernelOracle:
 
 class TestCrossoverWrapper:
     def test_single_pair_valid_children(self):
-        rng = make_rng(0)
+        rng = np.random.default_rng(0)
         p1, p2 = PERM5.sample_batch(rng, 1), PERM5.sample_batch(rng, 1)
         c1, c2 = cross(PERM5, p1, p2, rng)
         assert c1.shape == c2.shape == (1, 5)
@@ -164,18 +163,19 @@ class TestCrossoverWrapper:
     def test_pairs_of_the_wrong_shape_rejected(self, shape):
         message = rf"parent pairs of shape \({', '.join(map(str, shape))}\) .* length L = 4"
         with pytest.raises(ValueError, match=message):
-            crossover_batch(BIN4, np.zeros(shape, int), make_rng(0))
+            crossover_batch(BIN4, np.zeros(shape, int), np.random.default_rng(0))
 
     def test_length_one_binary_children_copy_parents(self):
         dom = GeneDomain.binary(1)
-        c1, c2 = cross(dom, np.array([[0]]), np.array([[1]]), make_rng(0))
+        c1, c2 = cross(dom, np.array([[0]]), np.array([[1]]), np.random.default_rng(0))
         assert c1.tolist() == [[0]] and c2.tolist() == [[1]]
 
     def test_determinism(self):
-        p1, p2 = PERM5.sample_batch(make_rng(1), 3), PERM5.sample_batch(make_rng(2), 3)
+        p1 = PERM5.sample_batch(np.random.default_rng(1), 3)
+        p2 = PERM5.sample_batch(np.random.default_rng(2), 3)
         pairs = np.stack([p1, p2], axis=1)
-        assert np.array_equal(crossover_batch(PERM5, pairs, make_rng(9)),
-                              crossover_batch(PERM5, pairs, make_rng(9)))
+        assert np.array_equal(crossover_batch(PERM5, pairs, np.random.default_rng(9)),
+                              crossover_batch(PERM5, pairs, np.random.default_rng(9)))
 
 
 class TestCrossoverPairOracle:
@@ -190,10 +190,10 @@ class TestCrossoverPairOracle:
         # rows 2i and 2i+1 are the reference children of (p1, p2) and
         # (p2, p1) under the cut points drawn from the same stream, and the
         # call leaves the stream where the references' draws leave it
-        rng = make_rng(domain.length + m)
+        rng = np.random.default_rng(domain.length + m)
         p1, p2 = domain.sample_batch(rng, m), domain.sample_batch(rng, m)
         seed = int(rng.integers(1 << 30))
-        got_rng, expected_rng = make_rng(seed), make_rng(seed)
+        got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         children = crossover_batch(domain, np.stack([p1, p2], axis=1), got_rng)
         length = domain.length
         if domain.kind is DomainKind.BINARY:
@@ -228,7 +228,7 @@ class TestMutateLociOracle:
                                         GeneDomain.permutation(300, separators=4)],
                              ids=lambda d: f"{d.kind.name}-{d.length}")
     def test_bit_equal_to_2d_reference(self, domain):
-        rng = make_rng(5)
+        rng = np.random.default_rng(5)
         minimum = 1 if domain.kind is DomainKind.BINARY else 2
         for m in (1, 10, 90):
             genomes = domain.sample_batch(rng, m)
@@ -237,10 +237,41 @@ class TestMutateLociOracle:
                 if free.size < minimum:
                     continue
                 seed = int(rng.integers(1 << 30))
-                got = mutate_loci(domain, genomes, free, make_rng(seed))
-                expected = reference_mutate_loci(domain, genomes, free, make_rng(seed))
+                got = mutate_loci(domain, genomes, free, np.random.default_rng(seed))
+                expected = reference_mutate_loci(domain, genomes, free, np.random.default_rng(seed))
                 assert got.dtype == genomes.dtype
                 assert np.array_equal(got, expected)
+
+
+class TestMutateLociDistribution:
+    # each count within 5 sigma of its binomial expectation
+    FREE = np.array([0, 2, 3, 5, 6])
+
+    @staticmethod
+    def within_five_sigma(counts, p):
+        n = counts.sum()
+        return (abs(counts - n * p) < 5 * np.sqrt(n * p * (1 - p))).all()
+
+    def test_flipped_locus_is_uniform_over_free_loci(self):
+        genomes = np.zeros((50_000, 7), dtype=np.uint8)
+        out = mutate_loci(GeneDomain.binary(7), genomes, self.FREE, np.random.default_rng(6))
+        rows, loci = np.nonzero(out)
+        assert np.array_equal(rows, np.arange(len(genomes)))
+        counts = np.bincount(loci, minlength=7)
+        assert counts[np.setdiff1d(np.arange(7), self.FREE)].sum() == 0
+        assert self.within_five_sigma(counts[self.FREE], 1 / len(self.FREE))
+
+    def test_swapped_pair_is_uniform_over_distinct_pairs(self):
+        domain = GeneDomain.permutation(7)
+        genomes = np.tile(np.arange(1, 8, dtype=domain.dtype), (50_000, 1))
+        out = mutate_loci(domain, genomes, self.FREE, np.random.default_rng(7))
+        rows, loci = np.nonzero(out != genomes)
+        assert np.array_equal(rows, np.arange(len(genomes)).repeat(2))
+        pairs = loci.reshape(-1, 2) @ np.array([7, 1])
+        counts = np.bincount(pairs, minlength=49)
+        pair_ids = [7 * a + b for i, a in enumerate(self.FREE) for b in self.FREE[i + 1:]]
+        assert counts.sum() == counts[pair_ids].sum()
+        assert self.within_five_sigma(counts[pair_ids], 1 / len(pair_ids))
 
 
 class TestMutation:
@@ -256,17 +287,17 @@ class TestMutation:
 
     def test_length_one_binary_flips_the_only_gene(self):
         dom = GeneDomain.binary(1)
-        assert mutate_batch(dom, np.array([[0]]), make_rng(0)).tolist() == [[1]]
+        assert mutate_batch(dom, np.array([[0]]), np.random.default_rng(0)).tolist() == [[1]]
 
     def test_binary_mutant_differs_in_exactly_one_locus(self):
-        rng = make_rng(21)
+        rng = np.random.default_rng(21)
         dom = GeneDomain.binary(8)
         genomes = dom.sample_batch(rng, 5000)
         mutants = mutate_batch(dom, genomes, rng)
         assert ((mutants != genomes).sum(axis=1) == 1).all()
 
     def test_swap_mutant_differs_in_exactly_two_loci(self):
-        rng = make_rng(22)
+        rng = np.random.default_rng(22)
         dom = GeneDomain.permutation(6, separators=1)
         genomes = dom.sample_batch(rng, 5000)
         mutants = mutate_batch(dom, genomes, rng)
@@ -275,5 +306,6 @@ class TestMutation:
 
     def test_determinism(self):
         dom = GeneDomain.permutation(5)
-        g = dom.sample_batch(make_rng(3), 4)
-        assert np.array_equal(mutate_batch(dom, g, make_rng(7)), mutate_batch(dom, g, make_rng(7)))
+        g = dom.sample_batch(np.random.default_rng(3), 4)
+        assert np.array_equal(mutate_batch(dom, g, np.random.default_rng(7)),
+                              mutate_batch(dom, g, np.random.default_rng(7)))

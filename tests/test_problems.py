@@ -4,7 +4,6 @@ import pytest
 from gea.problems import (Knapsack, KnapsackInstance, OneMax,
                           generate_knapsack_instance, knapsack_dp_optimum)
 from gea.problems.knapsack import DP_MAX_CELLS
-from gea.rng import make_rng
 
 
 class TestOneMax:
@@ -24,7 +23,7 @@ class TestOneMax:
 
     def test_batch_matches_scalar(self):
         problem = OneMax(7)
-        batch = problem.domain().sample_batch(make_rng(4), 50)
+        batch = problem.domain().sample_batch(np.random.default_rng(4), 50)
         assert np.array_equal(problem.evaluate_batch(batch),
                               [problem.evaluate(g) for g in batch])
 
@@ -44,7 +43,7 @@ class TestKnapsackEvaluate:
         assert Knapsack(TWO_ITEMS).evaluate(np.array([0, 0])) == 7.0
 
     def test_feasible_dominates_infeasible(self):
-        rng = make_rng(13)
+        rng = np.random.default_rng(13)
         for _ in range(25):
             n = int(rng.integers(2, 11))
             weights = tuple(float(w) for w in rng.integers(1, 20, n))
@@ -59,7 +58,7 @@ class TestKnapsackEvaluate:
 
     def test_bit_equal_to_two_product_reference(self):
         # reference: one product per vector on the uint8 matrix itself
-        rng = make_rng(29)
+        rng = np.random.default_rng(29)
         for trial in range(200):
             n = int(rng.integers(1, 301))
             weights = rng.uniform(0.01, 30.0, n)
@@ -126,7 +125,7 @@ class TestKnapsackDp:
         assert knapsack_dp_optimum(inst) == expected
 
     def test_matches_exhaustive_enumeration(self):
-        rng = make_rng(41)
+        rng = np.random.default_rng(41)
         for _ in range(100):
             n = int(rng.integers(1, 16))
             weights = rng.integers(1, 25, n)

@@ -5,7 +5,7 @@ import gea.solver
 from gea import engineering
 from gea.population import Population, _row_fingerprints, init_population
 from gea.problems import OneMax, VehicleRouting, generate_instance
-from gea.rng import make_rng, split_streams
+from gea.rng import split_streams
 from gea.solver import VARIANTS, GeaSolver, _Generation
 
 
@@ -252,7 +252,7 @@ class TestElitePass:
         # no offspring: each step runs only the gate and the elite pass
         solver = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0, mutation_rate=0.0)
         generation = _Generation(solver, problem.domain())
-        genes = problem.domain().sample_batch(make_rng(4), 10)
+        genes = problem.domain().sample_batch(np.random.default_rng(4), 10)
         pop = Population(genes, problem.evaluate_batch(genes))
         last = generation.elite_size - 1
 
@@ -264,7 +264,7 @@ class TestElitePass:
         first_locus, last_locus = changed(0, 0), changed(last, -1)
         below_elite = changed(last + 1, 0)
         for step_pop in (pop, pop, first_locus, first_locus, last_locus, below_elite, pop):
-            generation.step(step_pop, problem, make_rng(0), make_rng(1))
+            generation.step(step_pop, problem, np.random.default_rng(0), np.random.default_rng(1))
         assert [elite.tolist() for elite in observer.passes] == [
             p.genes[: last + 1].tolist() for p in (pop, first_locus, last_locus, pop)]
 
@@ -328,7 +328,8 @@ class TestStep:
         pop = Population(genes, problem.evaluate_batch(genes))
         solver = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
                            mutation_rate=0.5, seed=6)
-        out = _Generation(solver, problem.domain()).step(pop, problem, make_rng(1), make_rng(2))
+        out = _Generation(solver, problem.domain()).step(pop, problem, np.random.default_rng(1),
+                                                         np.random.default_rng(2))
         assert out.best_cost == pop.best_cost
         assert np.array_equal(np.unique(out.genes, axis=0),
                               np.unique(genes, axis=0))

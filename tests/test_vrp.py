@@ -7,7 +7,6 @@ from gea.problems import (VehicleRouting, VrpInstance, format_instance,
                           generate_instance, parse_instance, standard_suite,
                           vrp_brute_force, vrp_decode)
 from gea.problems.vrp import SUITE_DIMENSIONS
-from gea.rng import make_rng
 
 
 def collinear_instance(k=1):
@@ -49,7 +48,7 @@ class TestEvaluate:
 
     def test_batch_matches_scalar(self):
         problem = VehicleRouting(generate_instance(6, 3, 5))
-        batch = problem.domain().sample_batch(make_rng(2), 100)
+        batch = problem.domain().sample_batch(np.random.default_rng(2), 100)
         scalar = [problem.evaluate(g) for g in batch]
         assert np.allclose(problem.evaluate_batch(batch), scalar)
 
@@ -78,7 +77,7 @@ class TestLegGatherOracle:
     def test_bit_equal_to_2d_index(self, n_customers, n_vehicles):
         instance = generate_instance(n_customers, n_vehicles, n_customers)
         problem = VehicleRouting(instance)
-        genomes = problem.domain().sample_batch(make_rng(n_customers), 80)
+        genomes = problem.domain().sample_batch(np.random.default_rng(n_customers), 80)
         # reference: separators are depot visits, legs read by a 2-D index
         nodes = np.where(genomes > n_customers, 0, genomes).astype(np.int64)
         depot = np.zeros((80, 1), dtype=np.int64)
@@ -105,7 +104,7 @@ class TestBruteForce:
         problem = VehicleRouting(inst)
         optimum, genome = vrp_brute_force(inst)
         assert problem.evaluate(genome) == pytest.approx(optimum)
-        batch = problem.domain().sample_batch(make_rng(3), 1000)
+        batch = problem.domain().sample_batch(np.random.default_rng(3), 1000)
         assert (problem.evaluate_batch(batch) >= optimum - 1e-9).all()
 
     def test_size_guard(self):
