@@ -12,7 +12,7 @@ from .population import Population
 from .problems import (Knapsack, KnapsackInstance, OneMax, Problem, VehicleRouting,
                        VrpInstance, generate_instance, generate_knapsack_instance,
                        knapsack_dp_optimum, load_instance, standard_suite,
-                       vrp_brute_force, vrp_decode, write_instance)
+                       vrp_decode, vrp_dp_optimum, write_instance)
 from .rng import derive_run_seed
 from .solver import VARIANTS, GeaSolver
 
@@ -23,7 +23,7 @@ __all__ = [
     "GeaSolver", "VARIANTS",
     "Problem", "OneMax", "Knapsack", "KnapsackInstance", "VehicleRouting",
     "VrpInstance", "generate_instance", "generate_knapsack_instance",
-    "knapsack_dp_optimum", "load_instance", "standard_suite", "vrp_brute_force",
+    "knapsack_dp_optimum", "load_instance", "standard_suite", "vrp_dp_optimum",
     "vrp_decode", "write_instance",
     "StatsRow", "IntervalRow", "BatchResult", "Benchmark", "compute_stats",
     "confidence_interval", "interval_data", "run_batch", "full_benchmark",

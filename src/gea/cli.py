@@ -21,7 +21,7 @@ from .charts import convergence_chart
 from .harness import format_cost, full_benchmark
 from .problems import (Knapsack, VehicleRouting, generate_instance,
                        generate_knapsack_instance, knapsack_dp_optimum,
-                       load_instance, vrp_brute_force, write_instance,
+                       load_instance, vrp_dp_optimum, write_instance,
                        SUITE_DIMENSIONS)
 from .solver import VARIANTS
 
@@ -283,7 +283,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # a cost, as `run` and `bench` report it: total value - optimum value
         cost = sum(problem.instance.values) - knapsack_dp_optimum(problem.instance)
     else:
-        cost, _ = vrp_brute_force(problem.instance)
+        cost, _ = vrp_dp_optimum(problem.instance)
     print(f"{cost:.4f}")
     return 0
 

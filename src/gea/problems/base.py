@@ -33,3 +33,10 @@ class Problem(ABC):
         """Cost of one genome; ValueError when it is not in the domain."""
         genes = self.domain().validate(genes)
         return float(self.evaluate_batch(genes[None, :])[0])
+
+
+def _check_instance(instance, kind: type):
+    """`instance` when it is a `kind`; otherwise a ValueError that names it."""
+    if not isinstance(instance, kind):
+        raise ValueError(f"instance must be a {kind.__name__}, got {type(instance).__name__}")
+    return instance

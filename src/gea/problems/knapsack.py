@@ -13,10 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..genome import GeneDomain, _check_int
-from .base import Problem
+from .base import Problem, _check_instance
 
 # items x (capacity + 1): the work of the DP, and a bound on its capacity row
 DP_MAX_CELLS = 10_000_000
+
+
+def _is_finite(x) -> bool:
+    """False for a non-finite number and for anything that is no number."""
+    try:
+        return math.isfinite(x)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -31,11 +39,11 @@ class KnapsackInstance:
         if not self.weights:
             raise ValueError("instance needs at least one item")
         for label, numbers in (("weights", self.weights), ("values", self.values)):
-            bad = [f"{x} at index {i}" for i, x in enumerate(numbers) if not math.isfinite(x)]
+            bad = [f"{x!r} at index {i}" for i, x in enumerate(numbers) if not _is_finite(x)]
             if bad:
                 raise ValueError(f"{label} must be finite, got {', '.join(bad)}")
-        if not math.isfinite(self.capacity):
-            raise ValueError(f"capacity must be finite, got {self.capacity}")
+        if not _is_finite(self.capacity):
+            raise ValueError(f"capacity must be finite, got {self.capacity!r}")
         if min(self.weights) <= 0 or min(self.values) <= 0:
             raise ValueError("weights and values must be positive")
         if self.capacity <= 0:
@@ -48,7 +56,7 @@ class KnapsackInstance:
 
 class Knapsack(Problem):
     def __init__(self, instance: KnapsackInstance, name: str | None = None):
-        self.instance = instance
+        self.instance = _check_instance(instance, KnapsackInstance)
         self.name = name or f"knapsack-{instance.n_items}"
         self._domain = GeneDomain.binary(instance.n_items)
         self._weights = np.array(instance.weights, dtype=np.float64)
@@ -84,7 +92,7 @@ def knapsack_dp_optimum(instance: KnapsackInstance) -> float:
     O(items x capacity) time over one capacity row; refused beyond
     `DP_MAX_CELLS` table cells.
     """
-    weights = instance.weights
+    weights = _check_instance(instance, KnapsackInstance).weights
     for w in weights:
         if w != int(w):
             raise ValueError(f"dp oracle needs integer weights, got {w}")

@@ -75,10 +75,12 @@ def _problem_domain(problem) -> GeneDomain:
     """The domain of a problem that keeps the `Problem` contract, or a
     ValueError that names the contract and the type it got."""
     domain, evaluate = getattr(problem, "domain", None), getattr(problem, "evaluate_batch", None)
-    domain = domain() if callable(domain) and callable(evaluate) else None
+    named = isinstance(getattr(problem, "name", None), str)
+    domain = domain() if named and callable(domain) and callable(evaluate) else None
     if not isinstance(domain, GeneDomain):
-        raise ValueError(f"problem must keep the Problem contract (callable domain() returning "
-                         f"a GeneDomain, callable evaluate_batch), got {type(problem).__name__}")
+        raise ValueError(f"problem must keep the Problem contract (a str name, callable domain() "
+                         f"returning a GeneDomain, callable evaluate_batch), "
+                         f"got {type(problem).__name__}")
     return domain
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from gea import (Knapsack, VehicleRouting, compute_stats, confidence_interval,
                  full_benchmark, generate_instance, generate_knapsack_instance,
-                 knapsack_dp_optimum, run_batch, standard_suite, vrp_brute_force)
+                 knapsack_dp_optimum, run_batch, standard_suite, vrp_dp_optimum)
 from gea.cli import main
 from gea.engineering import (build_mask, dominant_chromosome, directed_mutation_batch,
                              gene_injection_batch, repetition_matrix)
@@ -43,7 +43,7 @@ def test_criterion_1_vrp_oracle_optimality():
     matches = 0
     for index, (n, k) in enumerate(ORACLE_CASES):
         instance = generate_instance(n, k, 201 + index)
-        optimum, _ = vrp_brute_force(instance)
+        optimum, _ = vrp_dp_optimum(instance)
         batch = run_batch(VehicleRouting(instance), variant="gea", runs=10, base_seed=0)
         if abs(batch.run_costs.min() - optimum) <= 1e-9 * max(1.0, abs(optimum)):
             matches += 1

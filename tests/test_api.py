@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import gea
-from gea import (DomainKind, GeaSolver, GeneDomain, OneMax, VrpInstance,
-                 generate_instance, generate_knapsack_instance, run_batch, standard_suite)
+from gea import (DomainKind, GeaSolver, GeneDomain, Knapsack, KnapsackInstance, OneMax,
+                 VehicleRouting, VrpInstance, generate_instance, generate_knapsack_instance,
+                 knapsack_dp_optimum, run_batch, standard_suite, vrp_dp_optimum)
 
 # the public surface; widening it is a deliberate change to this list
 PUBLIC_NAMES = [
@@ -12,7 +13,7 @@ PUBLIC_NAMES = [
     "VARIANTS", "VehicleRouting", "VrpInstance", "__version__", "compute_stats",
     "confidence_interval", "derive_run_seed", "full_benchmark", "generate_instance",
     "generate_knapsack_instance", "interval_data", "knapsack_dp_optimum", "load_instance",
-    "run_batch", "standard_suite", "vrp_brute_force", "vrp_decode", "write_instance",
+    "run_batch", "standard_suite", "vrp_decode", "vrp_dp_optimum", "write_instance",
 ]
 
 
@@ -27,6 +28,8 @@ def test_public_names_are_pinned():
 
 
 class NoEvaluate:
+    name = "stub"
+
     def domain(self):
         return GeneDomain.binary(3)
 
@@ -39,8 +42,16 @@ class DomainNotGeneDomain(NoEvaluate):
         return np.zeros(len(genomes))
 
 
-def vrp(n_vehicles):
-    return VrpInstance("x", n_vehicles, (0.0, 0.0), ((1.0, 1.0), (2.0, 2.0)))
+class Nameless:
+    def domain(self):
+        return GeneDomain.binary(3)
+
+    def evaluate_batch(self, genomes):
+        raise AssertionError("a fit started on a problem with no name")
+
+
+def vrp(n_vehicles=1, depot=(0.0, 0.0), customers=((1.0, 1.0), (2.0, 2.0))):
+    return VrpInstance("x", n_vehicles, depot, customers)
 
 
 # (call with one bad value, pattern its ValueError must match). The rows of
@@ -55,6 +66,8 @@ MISUSE = {
                                   "Problem contract.*got DomainNotGeneDomain"),
     "run_batch-instance-not-problem": (lambda: run_batch(standard_suite()[0], max_iters=1),
                                        "Problem contract.*got VrpInstance"),
+    "run_batch-problem-nameless": (lambda: run_batch(Nameless(), runs=2, max_iters=50),
+                                   "Problem contract.*str name.*got Nameless"),
     "GeneDomain-kind-str": (lambda: GeneDomain("binary", 3), "kind must be a DomainKind"),
     "GeneDomain-length-float": (lambda: GeneDomain.binary(2.5), "length must be an integer"),
     "GeneDomain-length-str": (lambda: GeneDomain.binary("3"), "length must be an integer"),
@@ -67,6 +80,28 @@ MISUSE = {
     "VrpInstance-n_vehicles-float": (lambda: vrp(2.5), "n_vehicles must be an integer"),
     "VrpInstance-n_vehicles-bool": (lambda: vrp(True), "n_vehicles must be an integer"),
     "VrpInstance-n_vehicles-zero": (lambda: vrp(0), "n_vehicles must be >= 1"),
+    "VrpInstance-depot-three-numbers": (lambda: vrp(depot=(0.0, 0.0, 0.0)),
+                                        r"depot must be two numbers, got \(0\.0, 0\.0, 0\.0\)"),
+    "VrpInstance-customers-str": (lambda: vrp(customers="abc"),
+                                  r"customers must be \(x, y\) pairs, got 'abc'"),
+    "VrpInstance-customers-not-pairs": (lambda: vrp(customers=((1.0, 1.0), (2.0, 2.0, 2.0))),
+                                        r"customers must be \(x, y\) pairs"),
+    "VrpInstance-customers-strings": (lambda: vrp(customers=(("1", "2"),)),
+                                      r"customers must be \(x, y\) pairs, got \(\('1', '2'\),\)"),
+    "KnapsackInstance-weights-str": (lambda: KnapsackInstance("12", "34", 5.0),
+                                     "weights must be finite, got '1' at index 0"),
+    "KnapsackInstance-values-None": (lambda: KnapsackInstance((1.0, 2.0), (3.0, None), 5.0),
+                                     "values must be finite, got None at index 1"),
+    "KnapsackInstance-capacity-str": (lambda: KnapsackInstance((1.0,), (1.0,), "5"),
+                                      "capacity must be finite, got '5'"),
+    "Knapsack-instance-str": (lambda: Knapsack("x"),
+                              "instance must be a KnapsackInstance, got str"),
+    "knapsack_dp_optimum-instance-str": (lambda: knapsack_dp_optimum("x"),
+                                         "instance must be a KnapsackInstance, got str"),
+    "VehicleRouting-instance-str": (lambda: VehicleRouting("f1"),
+                                    "instance must be a VrpInstance, got str"),
+    "vrp_dp_optimum-instance-str": (lambda: vrp_dp_optimum("f1"),
+                                    "instance must be a VrpInstance, got str"),
     "generate_instance-n_customers-float": (lambda: generate_instance(5.5, 2, 1),
                                             "n_customers must be an integer"),
     "generate_instance-n_vehicles-float": (lambda: generate_instance(5, 2.5, 1),

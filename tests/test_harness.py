@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -203,10 +205,13 @@ class TestFullBenchmark:
 
     @pytest.mark.parametrize("problems,variants,pattern", [
         ([OneMax(4), generate_instance(5, 2, 1)], ("ga",), "Problem contract.*VrpInstance"),
+        ([OneMax(4), SimpleNamespace(domain=OneMax(4).domain,
+                                     evaluate_batch=OneMax(4).evaluate_batch)],
+         ("ga",), "Problem contract.*str name.*got SimpleNamespace"),
         ([OneMax(4)], "gea", "variants must be a sequence, not a string: got 'gea'"),
         ([OneMax(4)], b"ga", "variants must be a sequence, not a string"),
         ("f1", ("ga",), "problems must be a sequence, not a string: got 'f1'"),
-    ], ids=["instance-not-problem", "variants-str", "variants-bytes", "problems-str"])
+    ], ids=["instance-not-problem", "nameless-problem", "variants-str", "variants-bytes", "problems-str"])
     def test_bad_problem_or_string_rejected_before_any_fit(self, fits, problems, variants,
                                                             pattern):
         # a string would iterate as characters: variants="gea" would name 'g'

@@ -295,6 +295,7 @@ class TestElitePass:
 
             def __init__(self, problem):
                 self.problem = problem
+                self.name = problem.name
 
             def domain(self):
                 return self.problem.domain()

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from gea.problems import (VehicleRouting, VrpInstance, format_instance,
                           generate_instance, parse_instance, standard_suite,
-                          vrp_brute_force, vrp_decode)
+                          vrp_dp_optimum, vrp_decode)
 from gea.problems.vrp import SUITE_DIMENSIONS
 
 
@@ -86,9 +88,29 @@ class TestLegGatherOracle:
         assert np.array_equal(problem.evaluate_batch(genomes), expected)
 
 
-class TestBruteForce:
+def enumerated_optimum(instance):
+    """Reference optimum: every customer ordering x every multiset of
+    separator gaps, each route summed from the coordinates."""
+    n, k = instance.n_customers, instance.n_vehicles
+    points = [instance.depot, *instance.customers]
+    dist = [[math.hypot(ax - bx, ay - by) for bx, by in points] for ax, ay in points]
+    best = math.inf
+    for order in itertools.permutations(range(1, n + 1)):
+        for gaps in itertools.combinations_with_replacement(range(n + 1), k - 1):
+            bounds = (0, *gaps, n)
+            cost = 0.0
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                if start == stop:
+                    continue
+                path = (0, *order[start:stop], 0)
+                cost += sum(dist[a][b] for a, b in zip(path[:-1], path[1:]))
+            best = min(best, cost)
+    return best
+
+
+class TestDpOptimum:
     def test_collinear_optimum(self):
-        cost, genome = vrp_brute_force(collinear_instance(k=1))
+        cost, genome = vrp_dp_optimum(collinear_instance(k=1))
         assert cost == pytest.approx(4.0)
         assert genome.tolist() in ([1, 2], [2, 1])
 
@@ -96,20 +118,30 @@ class TestBruteForce:
         # depot shares a corner; shortest tour is the square perimeter
         inst = VrpInstance("square", 1, (0.0, 0.0),
                            ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-        cost, _ = vrp_brute_force(inst)
+        cost, _ = vrp_dp_optimum(inst)
         assert cost == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("n_customers,n_vehicles",
+                             [(n, k) for n in range(1, 7) for k in range(1, min(n, 3) + 1)])
+    def test_matches_enumeration(self, n_customers, n_vehicles):
+        for seed in (1, 2, 3):
+            inst = generate_instance(n_customers, n_vehicles, 100 * n_customers + seed)
+            cost, genome = vrp_dp_optimum(inst)
+            assert cost == pytest.approx(enumerated_optimum(inst), rel=1e-9, abs=0)
+            assert VehicleRouting(inst).evaluate(genome) == pytest.approx(cost, rel=1e-9, abs=0)
 
     def test_lower_bounds_random_genomes(self):
         inst = generate_instance(6, 2, 17)
         problem = VehicleRouting(inst)
-        optimum, genome = vrp_brute_force(inst)
+        optimum, genome = vrp_dp_optimum(inst)
         assert problem.evaluate(genome) == pytest.approx(optimum)
         batch = problem.domain().sample_batch(np.random.default_rng(3), 1000)
         assert (problem.evaluate_batch(batch) >= optimum - 1e-9).all()
 
     def test_size_guard(self):
-        with pytest.raises(ValueError, match="8"):
-            vrp_brute_force(generate_instance(9, 2, 1))
+        assert vrp_dp_optimum(generate_instance(15, 2, 1))[1].size == 16
+        with pytest.raises(ValueError, match="limited to 15 customers, got 16"):
+            vrp_dp_optimum(generate_instance(16, 2, 1))
 
 
 class TestGenerateInstance:
