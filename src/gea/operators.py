@@ -96,19 +96,17 @@ def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
     """One OX child per row: segment from seg_parent, fill order from fill_parent.
 
     Loci are compared as positions in the narrowest unsigned type that holds
-    the genome length, which gives the same segment mask as an int64 compare.
-    Whether a symbol lies in its row's segment is kept in one flat bool table
-    of m * (L+1) entries, row r's symbols 1..L at offset r * (L+1): the
-    segment's symbols are set with one 1-D index, and fill_parent's symbols
-    are looked up with one `take`. The child starts as a copy of seg_parent,
-    and its loci outside the segment take fill_parent's other symbols, in
-    fill_parent's order: one 2-D boolean compaction on each side, both
-    walking row-major order.
+    the genome length, in one compare: pos - lo <= hi - lo, as positions
+    before lo wrap past every segment length. Whether a symbol lies in its
+    row's segment is kept in one flat bool table of m * (L+1) entries, row
+    r's symbols 1..L at offset r * (L+1), set with one 1-D index and read for
+    fill_parent with one `take`. The child starts as seg_parent, and one flat
+    `np.compress` of fill_parent fills its other loci in fill_parent's order.
     """
     m, length = seg_parent.shape
     pos_type = np.min_scalar_type(length)
-    pos = np.arange(length, dtype=pos_type)
-    in_segment = (pos >= lo.astype(pos_type)[:, None]) & (pos <= hi.astype(pos_type)[:, None])
+    lo = lo.astype(pos_type)[:, None]
+    in_segment = np.arange(length, dtype=pos_type) - lo <= hi.astype(pos_type)[:, None] - lo
 
     offsets = np.arange(0, m * (length + 1), length + 1)[:, None]
     marked = np.zeros(m * (length + 1), dtype=bool)
@@ -118,5 +116,5 @@ def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
     # each row has as many loci outside the segment as symbols absent from
     # it, so the row-major compaction lines up row by row
     child = seg_parent.copy()
-    child[~in_segment] = fill_parent[~fill_in_segment]
+    child[~in_segment] = np.compress(~fill_in_segment.ravel(), fill_parent.ravel())
     return child

@@ -17,7 +17,7 @@ paper encodes the problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ class VrpInstance:
     n_vehicles: int
     depot: tuple[float, float]
     customers: tuple[tuple[float, float], ...]
-    distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.customers:
@@ -63,8 +62,6 @@ class VrpInstance:
             named = [f"depot {self.depot}" if i == 0 else f"customer {i} {self.customers[i - 1]}"
                      for i in bad]
             raise ValueError(f"coordinates must be finite, got {', '.join(named)}")
-        delta = points[:, None, :] - points[None, :, :]
-        object.__setattr__(self, "distances", np.hypot(delta[..., 0], delta[..., 1]))
 
     @property
     def n_customers(self) -> int:
@@ -91,11 +88,13 @@ class VehicleRouting(Problem):
         self.name = instance.name
         self._domain = GeneDomain.permutation(instance.n_customers,
                                               instance.n_vehicles - 1)
-        # symbol -> distance-matrix node: customers map to themselves,
-        # separators to the depot (0), so route boundaries cost depot legs
-        node_of = np.zeros(self._domain.length + 1, dtype=np.int64)
-        node_of[1: instance.n_customers + 1] = np.arange(1, instance.n_customers + 1)
-        self._node_of = node_of
+        # legs between genome symbols: 0 is the depot that frames each row,
+        # 1..n the customers, and the separators n+1..L copies of the depot
+        points = np.array([instance.depot, *instance.customers,
+                           *[instance.depot] * (instance.n_vehicles - 1)], dtype=np.float64)
+        delta = points[:, None, :] - points[None, :, :]
+        self._legs = np.hypot(delta[..., 0], delta[..., 1])
+        self._index_type = np.min_scalar_type(self._legs.size - 1)
 
     def domain(self) -> GeneDomain:
         return self._domain
@@ -103,18 +102,16 @@ class VehicleRouting(Problem):
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
         """Total route length of each row.
 
-        Each row becomes a depot-framed node path of L+2 nodes, and its L+1
-        legs are read from the raveled distance matrix with one `take` of the
-        flat indices from * n + to. The (m, L+1) leg matrix and its row sums
-        are the same as a 2-D distances[from, to] index would give, so costs
-        are bit-equal to it.
+        Each row, framed by symbol 0, is a path of L+2 symbols whose L+1 legs
+        are read from the leg table with one `take` of the flat indices
+        from * (L+1) + to, in the narrowest unsigned type holding (L+1)^2 - 1.
+        The legs and row sums equal those of a 2-D node-distance index, so
+        costs are bit-equal to it.
         """
         m, length = genomes.shape
-        distances = self.instance.distances
-        path = np.zeros((m, length + 2), dtype=np.int64)
-        path[:, 1:-1] = self._node_of.take(genomes)
-        legs = path[:, :-1] * distances.shape[0] + path[:, 1:]
-        return distances.ravel().take(legs).sum(axis=1)
+        path = np.zeros((m, length + 2), dtype=self._index_type)
+        path[:, 1:-1] = genomes
+        return self._legs.take(path[:, :-1] * (length + 1) + path[:, 1:]).sum(axis=1)
 
 
 def vrp_decode(instance: VrpInstance, genes: Genome) -> list[list[int]]:

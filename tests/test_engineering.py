@@ -291,8 +291,11 @@ class TestRepairPermutation:
 class TestDominantCandidate:
     def test_binary_candidate_is_dc(self):
         dom = GeneDomain.binary(3)
-        assert dominant_candidate(dom, np.array([1, 0, 1]),
-                                  np.array([0, 0, 0])).tolist() == [1, 0, 1]
+        dc_genes = np.array([1, 0, 1], dtype=dom.dtype)
+        out = dominant_candidate(dom, dc_genes, np.array([0, 0, 0], dtype=dom.dtype))
+        assert out.tolist() == [1, 0, 1] and out.dtype == dom.dtype
+        # a copy: the candidate outlives the elite pass it was read from
+        assert not np.shares_memory(out, dc_genes)
 
     def test_permutation_candidate_repaired(self):
         dom = GeneDomain.permutation(4)

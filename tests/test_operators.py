@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gea.operators
 from gea.genome import DomainKind, GeneDomain
 from gea.operators import (_ox_batch, _single_point_batch, crossover_batch, mutate_batch,
                            mutate_loci)
@@ -178,6 +179,37 @@ class TestCrossoverWrapper:
                               crossover_batch(PERM5, pairs, np.random.default_rng(9)))
 
 
+def within_five_sigma(counts, p):
+    """Each count within 5 sigma of its binomial expectation over all draws."""
+    n = counts.sum()
+    return (abs(counts - n * p) < 5 * np.sqrt(n * p * (1 - p))).all()
+
+
+class TestOxSegmentDistribution:
+    def test_segment_ends_are_two_independent_uniform_draws(self, monkeypatch):
+        # ends a, b uniform on the 6 loci and independent: segment (lo, hi)
+        # has probability 2/36 for lo < hi and 1/36 for lo == hi; 60,000 pairs
+        domain, m = GeneDomain.permutation(6), 60_000
+        seen = []
+        kernel = gea.operators._ox_batch
+
+        def recorded(seg_parent, fill_parent, lo, hi):
+            seen.append((lo, hi))
+            return kernel(seg_parent, fill_parent, lo, hi)
+
+        monkeypatch.setattr(gea.operators, "_ox_batch", recorded)
+        pairs = np.tile(np.arange(1, 7, dtype=domain.dtype), (m, 2, 1))
+        crossover_batch(domain, pairs, np.random.default_rng(8))
+        (lo, hi), = seen
+        # both children of a pair share its segment
+        assert np.array_equal(lo[0::2], lo[1::2]) and np.array_equal(hi[0::2], hi[1::2])
+        counts = np.bincount(lo[0::2] * 6 + hi[0::2], minlength=36).reshape(6, 6)
+        assert not np.tril(counts, -1).any()
+        p = np.triu(np.full((6, 6), 2 / 36), 1) + np.eye(6) / 36
+        upper = np.triu_indices(6)
+        assert within_five_sigma(counts[upper], p[upper])
+
+
 class TestCrossoverPairOracle:
     @pytest.mark.parametrize("domain", [
         GeneDomain.binary(9),
@@ -244,13 +276,7 @@ class TestMutateLociOracle:
 
 
 class TestMutateLociDistribution:
-    # each count within 5 sigma of its binomial expectation
     FREE = np.array([0, 2, 3, 5, 6])
-
-    @staticmethod
-    def within_five_sigma(counts, p):
-        n = counts.sum()
-        return (abs(counts - n * p) < 5 * np.sqrt(n * p * (1 - p))).all()
 
     def test_flipped_locus_is_uniform_over_free_loci(self):
         genomes = np.zeros((50_000, 7), dtype=np.uint8)
@@ -259,7 +285,7 @@ class TestMutateLociDistribution:
         assert np.array_equal(rows, np.arange(len(genomes)))
         counts = np.bincount(loci, minlength=7)
         assert counts[np.setdiff1d(np.arange(7), self.FREE)].sum() == 0
-        assert self.within_five_sigma(counts[self.FREE], 1 / len(self.FREE))
+        assert within_five_sigma(counts[self.FREE], 1 / len(self.FREE))
 
     def test_swapped_pair_is_uniform_over_distinct_pairs(self):
         domain = GeneDomain.permutation(7)
@@ -271,7 +297,7 @@ class TestMutateLociDistribution:
         counts = np.bincount(pairs, minlength=49)
         pair_ids = [7 * a + b for i, a in enumerate(self.FREE) for b in self.FREE[i + 1:]]
         assert counts.sum() == counts[pair_ids].sum()
-        assert self.within_five_sigma(counts[pair_ids], 1 / len(pair_ids))
+        assert within_five_sigma(counts[pair_ids], 1 / len(pair_ids))
 
 
 class TestMutation:

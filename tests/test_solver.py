@@ -336,6 +336,102 @@ class TestStep:
                               np.unique(genes, axis=0))
 
 
+class ScenarioRecorder:
+    """Steps one fixed population of 20 distinct OneMax(8) rows, ranked by
+    index, and records what each generation did. With no crossover, 5
+    mutants, an elite of 4 and so 5 injection recipients, a step evaluates
+    5 + [scenario 1] + 5 * [scenario 3] rows, and scenario 2 is the step's
+    call of directed mutation. The pass over the fixed elite is made once,
+    so a step costs tens of microseconds."""
+
+    def __init__(self, monkeypatch, variant, weights=(0.5, 0.5, 0.2)):
+        self.problem = OneMax(8)
+        self.name = self.problem.name
+        self.generation = _Generation(
+            GeaSolver(variant=variant, pop_size=20, crossover_rate=0.0, mutation_rate=0.25,
+                      scenario_weights=weights, seed=5), self.problem.domain())
+        genes = ((np.arange(20)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+        self.pop = Population(genes, np.arange(20.0))
+        self.rows, self.directed, self.recipients = [], [], []
+        directed, injection = gea.solver.directed_mutation_batch, gea.solver.gene_injection_batch
+
+        def recorded_directed(*args):
+            self.directed.append(len(self.rows))
+            return directed(*args)
+
+        def recorded_injection(domain, genomes, mask, dc_genes):
+            # each row's bits spell its rank
+            self.recipients.append(genomes @ (1 << np.arange(8)))
+            return injection(domain, genomes, mask, dc_genes)
+
+        monkeypatch.setattr(gea.solver, "directed_mutation_batch", recorded_directed)
+        monkeypatch.setattr(gea.solver, "gene_injection_batch", recorded_injection)
+
+    def domain(self):
+        return self.problem.domain()
+
+    def evaluate_batch(self, genomes):
+        self.rows.append(len(genomes))
+        return self.problem.evaluate_batch(genomes)
+
+    def run(self, generations):
+        """(generations, 3) bool array: the scenarios each generation fired."""
+        rng, scheduler_rng = split_streams(self.generation.seed)
+        for _ in range(generations):
+            self.generation.step(self.pop, self, rng, scheduler_rng)
+        rows = np.array(self.rows)
+        assert set(rows.tolist()) <= {5, 6, 10, 11}
+        fired = np.zeros((generations, 3), dtype=bool)
+        fired[self.directed, 1] = True
+        fired[:, 0], fired[:, 2] = rows % 5 == 1, rows >= 10
+        return fired
+
+
+def within_sigma(counts, n, p, sigmas=4.5):
+    """Every count within `sigmas` binomial standard deviations of n * p."""
+    p = np.asarray(p, dtype=np.float64)
+    return (abs(np.asarray(counts) - n * p) <= sigmas * np.sqrt(n * p * (1 - p))).all()
+
+
+class TestScenarioDistribution:
+    def test_gea_gates_fire_independently_at_their_weights(self, monkeypatch):
+        # 4,000 generations put a 5-point shift of any gate's rate at 6 sigma
+        # or more; the eight joint outcomes catch gates that share a draw
+        fired = ScenarioRecorder(monkeypatch, "gea").run(4000)
+        weights = np.array([0.5, 0.5, 0.2])
+        assert within_sigma(fired.sum(axis=0), 4000, weights)
+        outcomes = fired @ np.array([4, 2, 1])
+        cells = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+        p = np.where(cells, weights, 1 - weights).prod(axis=1)
+        assert within_sigma(np.bincount(outcomes, minlength=8), 4000, p)
+
+    @pytest.mark.parametrize("variant", ["ga", "gea1", "gea2", "gea3"])
+    def test_fixed_variants_fire_their_constant_triple(self, monkeypatch, variant):
+        # whatever scenario_weights says: a fixed variant ignores it
+        fired = ScenarioRecorder(monkeypatch, variant, weights=(0.5, 0.5, 0.5)).run(200)
+        expected = gea.solver._VARIANT_WEIGHTS[variant]
+        assert np.array_equal(fired, np.tile(np.array(expected, dtype=bool), (200, 1)))
+
+
+class TestInjectionRecipients:
+    def test_uniform_over_the_non_elite_without_replacement(self, monkeypatch):
+        # 2,000 injections of 5 recipients among the 16 non-elite ranks 4..19
+        recorder = ScenarioRecorder(monkeypatch, "gea3")
+        recorder.run(2000)
+        recipients = np.array(recorder.recipients)
+        assert recipients.shape == (2000, 5) and (recipients >= 4).all()
+        assert (np.diff(np.sort(recipients, axis=1), axis=1) > 0).all()
+        # each rank is a recipient in 5 of 16 injections
+        offsets = recipients - 4
+        assert within_sigma(np.bincount(offsets.ravel(), minlength=16), 2000, 5 / 16)
+        # every unordered pair of the 16 ranks is as likely: 5 * 4 / (16 * 15)
+        together = np.zeros((16, 16), dtype=np.int64)
+        for row in offsets:
+            together[np.ix_(row, row)] += 1
+        pairs = together[np.triu_indices(16, 1)]
+        assert within_sigma(pairs, 2000, 1 / 12)
+
+
 class FaultyOneMax(OneMax):
     """OneMax(12) whose `evaluate_batch` answers honestly `honest_calls` times,
     then passes its costs through `fault`."""

@@ -73,18 +73,31 @@ class TestEvaluate:
         assert problem.evaluate(forward) == pytest.approx(problem.evaluate(reversed_first))
 
 
+def node_distances(instance):
+    """Distances between the depot (node 0) and the customers (nodes 1..n),
+    by the same `np.hypot` expression the problem builds its leg table with."""
+    points = np.array([instance.depot, *instance.customers], dtype=np.float64)
+    delta = points[:, None, :] - points[None, :, :]
+    return np.hypot(delta[..., 0], delta[..., 1])
+
+
 class TestLegGatherOracle:
-    @pytest.mark.parametrize("n_customers,n_vehicles", [(2, 1), (17, 4), (200, 10), (260, 5)],
-                             ids=["L2", "L20", "L209", "L264_uint16"])
+    # leg indices go up to (L+1)^2 - 1: uint8 at L <= 15, uint16 up to
+    # L = 255 (65,535), uint32 from L = 256 (66,048)
+    @pytest.mark.parametrize("n_customers,n_vehicles",
+                             [(1, 1), (2, 1), (17, 4), (200, 10), (250, 6), (250, 7), (260, 5)],
+                             ids=["L1", "L2", "L20", "L209", "L255_uint16_legs",
+                                  "L256_uint32_legs", "L264_uint16"])
     def test_bit_equal_to_2d_index(self, n_customers, n_vehicles):
         instance = generate_instance(n_customers, n_vehicles, n_customers)
         problem = VehicleRouting(instance)
         genomes = problem.domain().sample_batch(np.random.default_rng(n_customers), 80)
         # reference: separators are depot visits, legs read by a 2-D index
+        distances = node_distances(instance)
         nodes = np.where(genomes > n_customers, 0, genomes).astype(np.int64)
         depot = np.zeros((80, 1), dtype=np.int64)
         path = np.concatenate([depot, nodes, depot], axis=1)
-        expected = instance.distances[path[:, :-1], path[:, 1:]].sum(1)
+        expected = distances[path[:, :-1], path[:, 1:]].sum(1)
         assert np.array_equal(problem.evaluate_batch(genomes), expected)
 
 
@@ -166,10 +179,15 @@ class TestGenerateInstance:
             generate_instance(3, 5, 1)
 
     def test_distance_matrix_properties(self):
-        inst = generate_instance(7, 2, 3)
-        d = inst.distances
-        assert np.allclose(d, d.T)
-        assert np.allclose(np.diag(d), 0.0)
+        # the problem's leg table over genome symbols 0..L: the depot frame,
+        # customers 1..7 and separators 8..9, each a copy of the depot
+        inst = generate_instance(7, 3, 3)
+        legs = VehicleRouting(inst)._legs
+        assert legs.shape == (10, 10)
+        assert np.array_equal(legs, legs.T)
+        assert not np.diag(legs).any()
+        assert (legs[8:] == legs[0]).all()
+        assert np.array_equal(legs[:8, :8], node_distances(inst))
 
 
 class TestInstanceFiles:
