@@ -133,14 +133,16 @@ class Benchmark:
         return "\n".join(lines) + "\n"
 
     def convergence_csv(self) -> str:
-        lines = ["algorithm,instance,run,iteration,best_cost"]
+        """One row per (cell, run, iteration). Each trace becomes one block of
+        text and the blocks are joined once, so the peak is the blocks plus
+        the joined text: about twice the file."""
+        blocks = ["algorithm,instance,run,iteration,best_cost\n"]
         for result in self.results:
             for run_index, trace in enumerate(result.traces):
-                lines.extend(
-                    f"{result.algorithm},{result.instance},{run_index},{i},{cost:.6f}"
-                    for i, cost in enumerate(trace)
-                )
-        return "\n".join(lines) + "\n"
+                prefix = f"{result.algorithm},{result.instance},{run_index},"
+                blocks.append("".join([f"{prefix}{i},{cost:.6f}\n"
+                                       for i, cost in enumerate(trace.tolist())]))
+        return "".join(blocks)
 
     def intervals_csv(self) -> str:
         lines = ["algorithm,center,half_width"]

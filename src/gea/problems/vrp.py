@@ -106,9 +106,14 @@ class VehicleRouting(Problem):
         are read from the leg table with one `take` of the flat indices
         from * (L+1) + to, in the narrowest unsigned type holding (L+1)^2 - 1.
         The legs and row sums equal those of a 2-D node-distance index, so
-        costs are bit-equal to it.
+        costs are bit-equal to it. A symbol outside 1..L is a ValueError,
+        checked in the genes' own dtype, before the cast could wrap it.
         """
         m, length = genomes.shape
+        if m and (genomes.min() < 1 or genomes.max() > length):
+            row, locus = np.argwhere((genomes < 1) | (genomes > length))[0]
+            raise ValueError(f"row {row} holds symbol {genomes[row, locus]}, "
+                             f"outside 1..{length}")
         path = np.zeros((m, length + 2), dtype=self._index_type)
         path[:, 1:-1] = genomes
         return self._legs.take(path[:, :-1] * (length + 1) + path[:, 1:]).sum(axis=1)

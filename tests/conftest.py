@@ -22,3 +22,13 @@ class ScriptedRng:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRng
+
+
+@pytest.fixture
+def within_five_sigma():
+    """A check that each count lies within 5 sigma of its binomial
+    expectation over all the draws counted."""
+    def check(counts, p):
+        n = counts.sum()
+        return (abs(counts - n * p) < 5 * np.sqrt(n * p * (1 - p))).all()
+    return check

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,3 +226,53 @@ class TestFullBenchmark:
         start = time.monotonic()
         full_benchmark([problem], variants=("gea",), runs=2, max_iters=50)
         assert time.monotonic() - start < 5.0
+
+
+def reference_convergence_csv(bench):
+    """One formatted line per (cell, run, iteration), joined at the end."""
+    lines = ["algorithm,instance,run,iteration,best_cost"]
+    for result in bench.results:
+        runs, iters = result.traces.shape
+        for run_index in range(runs):
+            for i in range(iters):
+                cost = float(result.traces[run_index, i])
+                lines.append(f"{result.algorithm},{result.instance},{run_index},{i},{cost:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def synthetic_benchmark(cells, runs, iters, seed=0):
+    """A `Benchmark` of non-increasing random traces, `runs[c]` runs in cell c."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for cell in range(cells):
+        traces = np.minimum.accumulate(
+            rng.uniform(-5.0, 1500.0, size=(runs[cell], iters)), axis=1)
+        results.append(BatchResult(f"v{cell % 2}", f"i{cell}", traces[:, -1], traces))
+    return Benchmark(("v0", "v1"), tuple(f"i{cell}" for cell in range(cells)), tuple(results))
+
+
+class TestConvergenceCsv:
+    def test_matches_line_reference(self, bench):
+        uneven = synthetic_benchmark(4, runs=(1, 3, 2, 5), iters=17, seed=4)
+        # a zero-iteration batch renders no rows but keeps its neighbours' rows
+        no_iterations = Benchmark(("v0", "v1"), ("i0", "i1", "i2"), (
+            BatchResult("v1", "i2", np.zeros(2), np.empty((2, 0))),
+            *synthetic_benchmark(2, runs=(3, 1), iters=5, seed=5).results))
+        for case in (bench, uneven, no_iterations):
+            assert case.convergence_csv() == reference_convergence_csv(case)
+        assert no_iterations.convergence_csv().count("\n") == 1 + 3 * 5 + 1 * 5
+
+    def test_peak_is_about_twice_the_text(self):
+        # one block per trace plus the joined text is about twice the text;
+        # one string per line peaked at about 5.4 times it
+        bench = synthetic_benchmark(6, runs=(10,) * 6, iters=1000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = bench.convergence_csv()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 1 + 6 * 10 * 1000
+        assert peak <= 2.5 * len(text)

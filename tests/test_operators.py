@@ -179,14 +179,9 @@ class TestCrossoverWrapper:
                               crossover_batch(PERM5, pairs, np.random.default_rng(9)))
 
 
-def within_five_sigma(counts, p):
-    """Each count within 5 sigma of its binomial expectation over all draws."""
-    n = counts.sum()
-    return (abs(counts - n * p) < 5 * np.sqrt(n * p * (1 - p))).all()
-
-
 class TestOxSegmentDistribution:
-    def test_segment_ends_are_two_independent_uniform_draws(self, monkeypatch):
+    def test_segment_ends_are_two_independent_uniform_draws(self, monkeypatch,
+                                                             within_five_sigma):
         # ends a, b uniform on the 6 loci and independent: segment (lo, hi)
         # has probability 2/36 for lo < hi and 1/36 for lo == hi; 60,000 pairs
         domain, m = GeneDomain.permutation(6), 60_000
@@ -278,7 +273,7 @@ class TestMutateLociOracle:
 class TestMutateLociDistribution:
     FREE = np.array([0, 2, 3, 5, 6])
 
-    def test_flipped_locus_is_uniform_over_free_loci(self):
+    def test_flipped_locus_is_uniform_over_free_loci(self, within_five_sigma):
         genomes = np.zeros((50_000, 7), dtype=np.uint8)
         out = mutate_loci(GeneDomain.binary(7), genomes, self.FREE, np.random.default_rng(6))
         rows, loci = np.nonzero(out)
@@ -287,7 +282,7 @@ class TestMutateLociDistribution:
         assert counts[np.setdiff1d(np.arange(7), self.FREE)].sum() == 0
         assert within_five_sigma(counts[self.FREE], 1 / len(self.FREE))
 
-    def test_swapped_pair_is_uniform_over_distinct_pairs(self):
+    def test_swapped_pair_is_uniform_over_distinct_pairs(self, within_five_sigma):
         domain = GeneDomain.permutation(7)
         genomes = np.tile(np.arange(1, 8, dtype=domain.dtype), (50_000, 1))
         out = mutate_loci(domain, genomes, self.FREE, np.random.default_rng(7))

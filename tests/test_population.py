@@ -164,14 +164,11 @@ class TestInitPopulation:
 
 
 class TestRoulette:
-    def test_three_member_probabilities(self):
-        # rank weights 3,2,1 -> probabilities 3/6, 2/6, 1/6; 1e5 draws, 3 sigma
-        draws = 100_000
-        idx = roulette_indices(rank_weight_cumsum(3), draws, np.random.default_rng(123))
-        for i, p in enumerate((3 / 6, 2 / 6, 1 / 6)):
-            count = (idx == i).sum()
-            sigma = np.sqrt(draws * p * (1 - p))
-            assert abs(count - draws * p) <= 3 * sigma
+    def test_three_member_probabilities(self, within_five_sigma):
+        # rank weights 3,2,1 -> probabilities 3/6, 2/6, 1/6; 10^6 draws put
+        # each rank's rate within 0.005 * sqrt(p(1-p)) at 5 sigma
+        idx = roulette_indices(rank_weight_cumsum(3), 1_000_000, np.random.default_rng(123))
+        assert within_five_sigma(np.bincount(idx, minlength=3), np.array([3, 2, 1]) / 6)
 
     def test_singleton_population(self, scripted_rng):
         # the lone member takes the whole wheel, whatever the point drawn

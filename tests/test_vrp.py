@@ -101,6 +101,26 @@ class TestLegGatherOracle:
         assert np.array_equal(problem.evaluate_batch(genomes), expected)
 
 
+class TestSymbolRange:
+    # 4 customers, 2 vehicles: L = 5 and uint8 leg indices, into which 261
+    # would wrap to 5 and cost what the valid row costs
+    @pytest.mark.parametrize("row,dtype,symbol", [
+        ([1, 2, 3, 4, 261], np.int64, 261),
+        ([0, 2, 3, 4, 5], np.int64, 0),
+        ([1, 2, 3, 4, 6], None, 6),
+        ([-1, 2, 3, 4, 5], np.int64, -1),
+    ], ids=["wraps_to_L", "zero", "L_plus_1_domain_dtype", "minus_one"])
+    def test_out_of_range_symbol_rejected(self, row, dtype, symbol):
+        problem = VehicleRouting(generate_instance(4, 2, 1))
+        genomes = np.array([[1, 2, 3, 4, 5], row], dtype=dtype or problem.domain().dtype)
+        with pytest.raises(ValueError, match=rf"^row 1 holds symbol {symbol}, outside 1\.\.5$"):
+            problem.evaluate_batch(genomes)
+
+    def test_empty_batch(self):
+        problem = VehicleRouting(generate_instance(4, 2, 1))
+        assert problem.evaluate_batch(np.empty((0, 5), dtype=problem.domain().dtype)).shape == (0,)
+
+
 def enumerated_optimum(instance):
     """Reference optimum: every customer ordering x every multiset of
     separator gaps, each route summed from the coordinates."""
