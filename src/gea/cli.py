@@ -1,19 +1,16 @@
 """Command-line interface: run, bench, gen-instance, oracle.
 
 `bench` runs the benchmark protocol over a grid of variants x instances and
-`run` runs one cell of it, through one command body. Configuration is layered:
-the run settings of `RUN_SETTINGS` default to those of `GeaSolver` and
-`run_batch`, the other keys to `CONFIG_DEFAULTS`; a `key = value` config file
-overrides them, and command-line flags override both. Every flag has a
-config-file key of the same name (dashes become underscores). Unknown config
-keys are rejected by name. Exit codes: 0 success, 1 usage or configuration
-error, 2 internal error.
+`run` runs one cell of it, through one command body. Each setting is set one
+way, by its flag. A run setting of `RUN_SETTINGS` that no flag sets keeps the
+default of `GeaSolver` or `run_batch`, and reports go to `gea-out` unless
+`--out` names another directory. Exit codes: 0 success, 1 usage error,
+2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,21 +22,11 @@ from .problems import (Knapsack, VehicleRouting, generate_instance,
                        SUITE_DIMENSIONS)
 from .solver import VARIANTS
 
-# the settings the command line owns; run settings keep the library's defaults
-CONFIG_DEFAULTS = {
-    "variant": "gea",
-    "variants": ",".join(VARIANTS),
-    "instance": "f1",
-    "instances": ",".join(name for name, *_ in SUITE_DIMENSIONS),
-    "out": "",
-    "formats": "csv,table,svg",
-}
-
 _SUITE = {name: (n, k, seed) for name, n, k, seed in SUITE_DIMENSIONS}
 
 
 class UsageError(ValueError):
-    """Bad flags, bad config, unresolvable instance."""
+    """Bad flags or flag values, unresolvable instance."""
 
 
 def _weights(text: str) -> tuple[float, ...]:
@@ -52,7 +39,7 @@ def _weights(text: str) -> tuple[float, ...]:
         raise UsageError(f"weights must be numbers, got {text!r}") from None
 
 
-# config key -> (parameter of run_batch or GeaSolver, parser of its text, help)
+# flag -> (parameter of run_batch or GeaSolver, parser of its text, help)
 RUN_SETTINGS = {
     "runs": ("runs", int, "independent runs per cell"),
     "seed": ("base_seed", int, "base seed for run derivation"),
@@ -65,7 +52,6 @@ RUN_SETTINGS = {
     "weights": ("scenario_weights", _weights, "scenario weights w1,w2,w3"),
 }
 _KINDS = {int: "an integer", float: "a number"}
-_CONFIG_KEYS = (*CONFIG_DEFAULTS, *RUN_SETTINGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,17 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, grid, help_text in (("run", False, "one (variant, instance) batch"),
                                   ("bench", True, "variants x instances benchmark grid")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value configuration file")
         if grid:
-            p.add_argument("--variants", help="comma-separated algorithm variants")
-            p.add_argument("--instances", help="comma-separated instance names/paths")
+            p.add_argument("--variants", default=",".join(VARIANTS),
+                           help="comma-separated algorithm variants")
+            p.add_argument("--instances", default=",".join(_SUITE),
+                           help="comma-separated instance names/paths")
         else:
-            p.add_argument("--variant", help=f"algorithm variant: {', '.join(VARIANTS)}")
-            p.add_argument("--instance", help="suite name (f1..f6), file path, or knapsack:<n>:<seed>")
+            p.add_argument("--variant", default="gea",
+                           help=f"algorithm variant: {', '.join(VARIANTS)}")
+            p.add_argument("--instance", default="f1",
+                           help="suite name (f1..f6), file path, or knapsack:<n>:<seed>")
         for key, (_, _, setting_help) in RUN_SETTINGS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=setting_help)
-        p.add_argument("--out", help="output directory (GEA_OUT_DIR as fallback)")
-        p.add_argument("--formats", help="outputs to write: csv,table,svg subset")
+        p.add_argument("--out", type=Path, default="gea-out", help="output directory")
+        p.add_argument("--formats", default="csv,table,svg",
+                       help="outputs to write: csv,table,svg subset")
         p.set_defaults(func=cmd_report, grid=grid)
 
     gen_p = sub.add_parser("gen-instance", help="write a seeded routing instance file")
@@ -107,62 +97,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# settings
 
-def parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise UsageError(f"cannot read config file: {err}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{line_no}: unknown configuration key: {key}")
-        values[key] = value
-    return values
-
-
-def merge_config(args: argparse.Namespace) -> dict[str, str]:
-    """defaults < config file < explicit flags; a run setting is a key only
-    when the config file or a flag sets it."""
-    merged = dict(CONFIG_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
-
-
-def run_params(cfg: dict[str, str]) -> dict:
-    """The run settings that `cfg` sets, parsed, as keyword arguments of
-    `full_benchmark`; a setting it leaves out keeps the library's default."""
+def run_params(args: argparse.Namespace) -> dict:
+    """The run settings that flags set, parsed, as keyword arguments of
+    `full_benchmark`; a setting that no flag sets keeps the library's default."""
     params = {}
     for key, (param, parse, _) in RUN_SETTINGS.items():
-        if key in cfg:
+        text = getattr(args, key)
+        if text is not None:
             try:
-                params[param] = parse(cfg[key])
+                params[param] = parse(text)
             except UsageError:
                 raise
             except ValueError:
-                raise UsageError(f"{key} must be {_KINDS[parse]}, got {cfg[key]!r}") from None
+                raise UsageError(f"{key} must be {_KINDS[parse]}, got {text!r}") from None
     return params
 
 
-def output_dir(cfg: dict[str, str]) -> Path:
-    return Path(cfg["out"] or os.environ.get("GEA_OUT_DIR") or "gea-out")
-
-
-def formats(cfg: dict[str, str]) -> set[str]:
-    wanted = set(_split_list(cfg["formats"], "formats"))
+def formats(args: argparse.Namespace) -> set[str]:
+    wanted = set(_split_list(args.formats, "formats"))
     unknown = wanted - {"csv", "table", "svg"}
     if unknown:
         raise UsageError(f"unknown report format: {', '.join(sorted(unknown))}")
@@ -245,17 +199,15 @@ def _report_files(bench, wanted: set[str], grid: bool) -> dict[str, str]:
 def cmd_report(args: argparse.Namespace) -> int:
     """`bench` fits a grid of variants x instances, `run` the one cell of
     --variant and --instance; both write the reports and print a summary."""
-    cfg = merge_config(args)
-    wanted = formats(cfg)
-    out_dir = output_dir(cfg)
+    wanted = formats(args)
     if args.grid:
-        variants = _split_list(cfg["variants"], "variants")
-        tokens = _split_list(cfg["instances"], "instances")
+        variants = _split_list(args.variants, "variants")
+        tokens = _split_list(args.instances, "instances")
     else:
-        variants, tokens = [cfg["variant"]], [cfg["instance"]]
+        variants, tokens = [args.variant], [args.instance]
     problems = [resolve_problem(token) for token in tokens]
-    bench = full_benchmark(problems, variants=variants, **run_params(cfg))
-    paths = write_outputs(out_dir, _report_files(bench, wanted, args.grid))
+    bench = full_benchmark(problems, variants=variants, **run_params(args))
+    paths = write_outputs(args.out, _report_files(bench, wanted, args.grid))
 
     if args.grid:
         print(bench.table_text(), end="")

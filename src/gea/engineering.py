@@ -10,8 +10,9 @@ pass and read the mask one way, as bool:
 * directed mutation: mutation confined to the loci the mask leaves open;
 * gene injection: overwriting a poor member's masked loci with the dominant
   symbols, with a permutation repair when that would duplicate symbols;
-* the dominant candidate (scenario 1): binary dominant genes as they are, and
-  on permutations gene injection with every locus masked, the same repair.
+* the dominant candidate (scenario 1): gene injection with every locus
+  masked, so the dominant genes as they are when binary, and on permutations
+  the same repair.
 """
 
 from __future__ import annotations
@@ -115,9 +116,7 @@ def _distinct_injection(mask: np.ndarray, dc_genes: np.ndarray) -> tuple[np.ndar
 
 def dominant_candidate(domain: GeneDomain, dc_genes: np.ndarray,
                        template: Genome) -> Genome:
-    """Dominant genes as a full genome: a copy when binary; on permutations,
-    gene injection with every locus masked, which repairs them from `template`."""
-    if domain.kind is DomainKind.BINARY:
-        return dc_genes.copy()
+    """Dominant genes as a full genome, a fresh array: gene injection with every
+    locus masked, which on permutations repairs them from `template`."""
     return gene_injection_batch(domain, template[None, :], np.ones(dc_genes.shape, dtype=bool),
                                 dc_genes)[0]

@@ -21,9 +21,14 @@ import numpy as np
 Genome = np.ndarray
 
 
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """True for a scalar of `kinds`; a bool, a NumPy bool or a numeric string is none."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, minimum: int) -> int:
     """`value` as an int; a ValueError naming `name` if it is no integer or below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_number(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome import GeneDomain, _check_int
+from ..genome import GeneDomain, _check_int, _is_number
 from .base import Problem, _check_instance
 
 # items x (capacity + 1): the work of the DP, and a bound on its capacity row
@@ -20,11 +20,8 @@ DP_MAX_CELLS = 10_000_000
 
 
 def _is_finite(x) -> bool:
-    """False for a non-finite number and for anything that is no number."""
-    try:
-        return math.isfinite(x)
-    except TypeError:
-        return False
+    """False for a non-finite number and for anything that is no number, a bool included."""
+    return _is_number(x) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

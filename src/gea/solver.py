@@ -38,7 +38,7 @@ import numpy as np
 from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
                           directed_mutation_batch, gene_injection_batch,
                           repetition_matrix)
-from .genome import GeneDomain, _check_int
+from .genome import GeneDomain, _check_int, _is_number
 from .operators import crossover_batch, mutate_batch
 from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
                          roulette_indices)
@@ -85,10 +85,9 @@ def _problem_domain(problem) -> GeneDomain:
 
 
 def _check_fraction(name: str, value, low_open: bool = False) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
     # written so that NaN, which fails every comparison, is rejected too
     if not 0.0 <= value <= 1.0 or (low_open and value == 0.0):
         bracket = "(" if low_open else "["
@@ -99,12 +98,12 @@ def _check_fraction(name: str, value, low_open: bool = False) -> float:
 def _check_weights(weights, variant: str) -> tuple[float, float, float]:
     # a string iterates as characters, so it is no sequence of numbers here
     try:
-        if isinstance(weights, (str, bytes)):
-            raise TypeError
-        values = tuple(float(w) for w in weights)
-    except (TypeError, ValueError):
-        raise ValueError(f"scenario_weights must be a sequence of 3 numbers, "
-                         f"got {weights!r}") from None
+        values = None if isinstance(weights, (str, bytes)) else tuple(weights)
+    except TypeError:
+        values = None
+    if values is None or not all(map(_is_number, values)):
+        raise ValueError(f"scenario_weights must be a sequence of 3 numbers, got {weights!r}")
+    values = tuple(map(float, values))
     if len(values) != 3:
         raise ValueError(f"scenario_weights must have 3 entries, got {len(values)}")
     if not all(math.isfinite(w) for w in values):

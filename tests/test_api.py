@@ -50,6 +50,10 @@ class Nameless:
         raise AssertionError("a fit started on a problem with no name")
 
 
+def fit(**settings):
+    return GeaSolver(max_iters=1, **settings).fit(OneMax(4))
+
+
 def vrp(n_vehicles=1, depot=(0.0, 0.0), customers=((1.0, 1.0), (2.0, 2.0))):
     return VrpInstance("x", n_vehicles, depot, customers)
 
@@ -68,6 +72,19 @@ MISUSE = {
                                        "Problem contract.*got VrpInstance"),
     "run_batch-problem-nameless": (lambda: run_batch(Nameless(), runs=2, max_iters=50),
                                    "Problem contract.*str name.*got Nameless"),
+    "fit-threshold_fraction-bool": (lambda: fit(threshold_fraction=False),
+                                    "threshold_fraction must be a number, got False"),
+    "fit-mutation_rate-bool": (lambda: fit(mutation_rate=True),
+                               "mutation_rate must be a number, got True"),
+    "fit-crossover_rate-str": (lambda: fit(crossover_rate="0.8"),
+                               "crossover_rate must be a number, got '0.8'"),
+    "fit-elite_fraction-bytes": (lambda: fit(elite_fraction=b"0.5"),
+                                 "elite_fraction must be a number, got b'0.5'"),
+    "fit-scenario_weights-bool": (lambda: fit(scenario_weights=(True, False, False)),
+                                  r"scenario_weights must be a sequence of 3 numbers, "
+                                  r"got \(True, False, False\)"),
+    "fit-scenario_weights-strs": (lambda: fit(scenario_weights=("0.5", "0.5", "0.2")),
+                                  "scenario_weights must be a sequence of 3 numbers"),
     "GeneDomain-kind-str": (lambda: GeneDomain("binary", 3), "kind must be a DomainKind"),
     "GeneDomain-length-float": (lambda: GeneDomain.binary(2.5), "length must be an integer"),
     "GeneDomain-length-str": (lambda: GeneDomain.binary("3"), "length must be an integer"),
@@ -90,10 +107,17 @@ MISUSE = {
                                       r"customers must be \(x, y\) pairs, got \(\('1', '2'\),\)"),
     "KnapsackInstance-weights-str": (lambda: KnapsackInstance("12", "34", 5.0),
                                      "weights must be finite, got '1' at index 0"),
+    "KnapsackInstance-weights-bool": (lambda: KnapsackInstance((True, 2.0), (3.0, 4.0), 5.0),
+                                      "weights must be finite, got True at index 0"),
+    "KnapsackInstance-values-numpy-bool": (
+        lambda: KnapsackInstance((1.0, 2.0), (3.0, np.True_), 5.0),
+        r"values must be finite, got (np\.)?True_? at index 1"),
     "KnapsackInstance-values-None": (lambda: KnapsackInstance((1.0, 2.0), (3.0, None), 5.0),
                                      "values must be finite, got None at index 1"),
     "KnapsackInstance-capacity-str": (lambda: KnapsackInstance((1.0,), (1.0,), "5"),
                                       "capacity must be finite, got '5'"),
+    "KnapsackInstance-capacity-bool": (lambda: KnapsackInstance((1.0,), (1.0,), True),
+                                       "capacity must be finite, got True"),
     "Knapsack-instance-str": (lambda: Knapsack("x"),
                               "instance must be a KnapsackInstance, got str"),
     "knapsack_dp_optimum-instance-str": (lambda: knapsack_dp_optimum("x"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gea import GeaSolver
-from gea.cli import RUN_SETTINGS, build_parser, main, merge_config, resolve_problem, run_params
+from gea.cli import RUN_SETTINGS, build_parser, main, resolve_problem, run_params
 from gea.harness import Benchmark, run_batch
 from gea.problems import format_instance, generate_instance, load_instance
 
@@ -108,43 +108,24 @@ class TestRun:
         convergence = (out / "convergence.csv").read_text().strip().splitlines()
         assert len(convergence) == 1  # header only, no iterations
 
-    def test_unknown_config_key_named(self, tmp_path, capsys):
-        config = tmp_path / "gea.cfg"
-        config.write_text("popsize = 50\n", encoding="utf-8")
-        assert main(["run", "--config", str(config)]) == 1
-        assert "popsize" in capsys.readouterr().err
-
-    def test_flags_override_config_file(self, tmp_path):
-        config = tmp_path / "gea.cfg"
-        config.write_text(
-            "variant = ga\ninstance = f1\nruns = 1\niters = 4\npop = 10\n"
-            f"out = {tmp_path / 'from-config'}\n", encoding="utf-8")
-        assert main(["run", "--config", str(config), "--iters", "7"]) == 0
-        convergence = (tmp_path / "from-config" / "convergence.csv").read_text()
-        assert len(convergence.strip().splitlines()) == 1 + 7
-
-    def test_config_file_alone_suffices(self, tmp_path):
-        config = tmp_path / "gea.cfg"
-        config.write_text(
-            "variant = gea1\ninstance = knapsack:6:1\nruns = 2\niters = 5\npop = 8\n"
-            "pc = 0.5\npm = 0.2\nelite_fraction = 0.25\nthreshold_fraction = 0.5\n"
-            "weights = 0.4,0.4,0.2\nseed = 7\nformats = csv\n"
-            f"out = {tmp_path / 'cfg-out'}\n", encoding="utf-8")
-        assert main(["run", "--config", str(config)]) == 0
-        out = tmp_path / "cfg-out"
+    def test_all_settings_as_flags(self, tmp_path):
+        out = tmp_path / "flag-out"
+        assert main(["run", "--variant", "gea1", "--instance", "knapsack:6:1", "--runs", "2",
+                     "--iters", "5", "--pop", "8", "--pc", "0.5", "--pm", "0.2",
+                     "--elite-fraction", "0.25", "--threshold-fraction", "0.5",
+                     "--weights", "0.4,0.4,0.2", "--seed", "7", "--formats", "csv",
+                     "--out", str(out)]) == 0
         assert (out / "results.csv").exists()
         assert not (out / "table.txt").exists()
 
-    def test_env_var_out_dir_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEA_OUT_DIR", str(tmp_path / "env-out"))
+    def test_out_defaults_to_gea_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--variant", "ga", "--instance", "knapsack:5:2",
                      "--runs", "1", "--iters", "3", "--pop", "8"]) == 0
-        assert (tmp_path / "env-out" / "results.csv").exists()
+        assert (tmp_path / "gea-out" / "results.csv").exists()
 
     def test_bad_variant_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("GEA_OUT_DIR", raising=False)
         assert main(["run", "--variant", "nope", "--instance", "f1"]) == 1
         assert "variant" in capsys.readouterr().err
         # rejected before any fit, so no output directory was made
@@ -224,6 +205,9 @@ class TestParsing:
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["run", "--bogus-flag", "1"]) == 1
+        # settings are flags only; there is no config file to pass
+        assert main(["run", "--config", "gea.cfg"]) == 1
+        assert "unrecognized arguments: --config gea.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--weights", "0.5,0.5", "weights must be w1,w2,w3, got '0.5,0.5'"),
@@ -243,11 +227,9 @@ class TestRunSettings:
                   | inspect.signature(GeaSolver.__init__).parameters.keys())
         assert {param for param, _, _ in RUN_SETTINGS.values()} <= params
 
-    def test_unset_settings_are_left_to_the_library(self, tmp_path):
-        config = tmp_path / "gea.cfg"
-        config.write_text("variant = ga\ninstance = f2\n", encoding="utf-8")
-        args = build_parser().parse_args(["run", "--config", str(config)])
-        assert run_params(merge_config(args)) == {}
+    def test_unset_settings_are_left_to_the_library(self):
+        args = build_parser().parse_args(["run", "--variant", "ga", "--instance", "f2"])
+        assert run_params(args) == {}
 
     def test_run_matches_run_batch_with_library_defaults(self, tmp_path):
         out = tmp_path / "out"
