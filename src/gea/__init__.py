@@ -12,7 +12,7 @@ from .population import Population
 from .problems import (Knapsack, KnapsackInstance, OneMax, Problem, VehicleRouting,
                        VrpInstance, generate_instance, generate_knapsack_instance,
                        knapsack_dp_optimum, load_instance, standard_suite,
-                       vrp_decode, vrp_dp_optimum, write_instance)
+                       vrp_dp_optimum, write_instance)
 from .rng import derive_run_seed
 from .solver import VARIANTS, GeaSolver
 
@@ -24,7 +24,7 @@ __all__ = [
     "Problem", "OneMax", "Knapsack", "KnapsackInstance", "VehicleRouting",
     "VrpInstance", "generate_instance", "generate_knapsack_instance",
     "knapsack_dp_optimum", "load_instance", "standard_suite", "vrp_dp_optimum",
-    "vrp_decode", "write_instance",
+    "write_instance",
     "StatsRow", "IntervalRow", "BatchResult", "Benchmark", "compute_stats",
     "confidence_interval", "interval_data", "run_batch", "full_benchmark",
     "derive_run_seed",

@@ -8,11 +8,11 @@ count exceeds the threshold (a fixed locus). Three mechanisms consume the
 pass and read the mask one way, as bool:
 
 * directed mutation: mutation confined to the loci the mask leaves open;
-* gene injection: overwriting a poor member's masked loci with the dominant
-  symbols, with a permutation repair when that would duplicate symbols;
+* gene injection: `operators.recombine` of each poor member with the
+  dominant chromosome, which keeps the dominant symbols at the masked loci
+  (on permutations, only each symbol's first) and the member's genes elsewhere;
 * the dominant candidate (scenario 1): gene injection with every locus
-  masked, so the dominant genes as they are when binary, and on permutations
-  the same repair.
+  masked, so the dominant genes as they are when binary.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .genome import DomainKind, GeneDomain, Genome
-from .operators import mutate_loci
+from .operators import mutate_loci, recombine
 
 
 def repetition_matrix(elite: np.ndarray) -> np.ndarray:
@@ -79,36 +79,19 @@ def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, mask: np.nd
 
 def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask: np.ndarray,
                          dc_genes: np.ndarray) -> np.ndarray:
-    """Overwrite masked loci with dominant symbols across a recipient cohort."""
+    """Each recipient recombined with the dominant chromosome: dominant
+    symbols at the masked loci, the recipient's genes elsewhere."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != genomes.shape[1:] or dc_genes.shape != genomes.shape[1:]:
         raise ValueError("mask and dominant chromosome must match the genome length")
-    if domain.kind is DomainKind.BINARY:
-        return np.where(mask[None, :], dc_genes[None, :], genomes)
-
-    fixed_pos, fixed_vals = _distinct_injection(mask, dc_genes)
-    if fixed_pos.size == 0:
-        return genomes.copy()
-    is_fixed_symbol = np.zeros(domain.n_symbols, dtype=bool)
-    is_fixed_symbol[fixed_vals] = True
-    open_locus = np.ones(genomes.shape[1], dtype=bool)
-    open_locus[fixed_pos] = False
-
-    # every row holds each fixed symbol once, so its other symbols, kept in
-    # row order, exactly fill the open loci
-    out = np.empty_like(genomes)
-    out[:, fixed_pos] = fixed_vals
-    out[:, open_locus] = genomes[~is_fixed_symbol[genomes]].reshape(genomes.shape[0], -1)
-    return out
-
-
-def _distinct_injection(mask: np.ndarray, dc_genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masked loci to inject, keeping only the first occurrence of each symbol."""
-    positions = np.flatnonzero(mask)
-    values = dc_genes[positions]
-    _, first = np.unique(values, return_index=True)
-    first.sort()
-    return positions[first], values[first]
+    keep = mask
+    if domain.kind is DomainKind.PERMUTATION:
+        # a permutation holds each symbol once: keep the first masked locus
+        # of each dominant symbol
+        masked = np.flatnonzero(mask)
+        keep = np.zeros_like(mask)
+        keep[masked[np.unique(dc_genes[masked], return_index=True)[1]]] = True
+    return recombine(domain, dc_genes, keep, genomes)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +99,8 @@ def _distinct_injection(mask: np.ndarray, dc_genes: np.ndarray) -> tuple[np.ndar
 
 def dominant_candidate(domain: GeneDomain, dc_genes: np.ndarray,
                        template: Genome) -> Genome:
-    """Dominant genes as a full genome, a fresh array: gene injection with every
-    locus masked, which on permutations repairs them from `template`."""
+    """Dominant genes as a full genome, a fresh array: gene injection into
+    `template` with every locus masked, which on permutations keeps each
+    dominant symbol's first locus and fills the rest in `template`'s order."""
     return gene_injection_batch(domain, template[None, :], np.ones(dc_genes.shape, dtype=bool),
                                 dc_genes)[0]

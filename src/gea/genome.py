@@ -13,6 +13,7 @@ and for up to 255 permutation symbols, two bytes up to 65,535.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,11 @@ Genome = np.ndarray
 def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
     """True for a scalar of `kinds`; a bool, a NumPy bool or a numeric string is none."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """True for a number that converts to a finite float: no NaN, infinity or too large int."""
+    return _is_number(value) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _check_int(name: str, value, minimum: int) -> int:

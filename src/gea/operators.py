@@ -4,12 +4,13 @@ Binary genomes use single-point crossover and single bit flips; permutation
 genomes use order crossover (OX) and position swaps, both of which preserve
 the every-symbol-exactly-once invariant.
 
-The operators take whole cohorts and make one vectorized pass per call; there
-is no per-genome form. `crossover_batch` takes m parent pairs as one (m, 2, L)
-array, draws the cut points, and returns the (2m, L) children in pair order.
-`mutate_loci` is the one mutation kernel, one genome per row: `mutate_batch`
-lets it draw from every locus, and directed mutation (in `engineering`) only
-from the loci its pattern mask leaves open.
+The operators take whole cohorts, one vectorized pass per call. `recombine`
+is the one recombination kernel: crossover keeps each parent's genes before
+the cut or in the OX segment and fills the rest from its partner, and gene
+injection (in `engineering`) keeps the dominant chromosome's masked loci and
+fills the rest from each recipient. `mutate_loci` is the one mutation kernel:
+`mutate_batch` lets it draw from every locus, and directed mutation (in
+`engineering`) only from the loci its pattern mask leaves open.
 """
 
 from __future__ import annotations
@@ -29,17 +30,21 @@ def crossover_batch(domain: GeneDomain, pairs: np.ndarray,
     m, _, length = pairs.shape
     if length < 2:
         return pairs.reshape(2 * m, length).copy()
-    if domain.kind is DomainKind.BINARY:
-        cuts = rng.integers(1, length, size=m)
-        return _single_point_batch(pairs, cuts).reshape(2 * m, length)
-    # one (2, m) draw gives the same ends, and leaves the generator in the
-    # same state, as two draws of m
-    a, b = rng.integers(0, length, size=(2, m))
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # both children in one vectorized pass: row 2i takes its segment from
-    # pair i's first parent, row 2i+1 from its second
-    return _ox_batch(pairs.reshape(2 * m, length), pairs[:, ::-1].reshape(2 * m, length),
-                     lo.repeat(2), hi.repeat(2))
+    # loci as positions in the narrowest unsigned type that holds the length
+    pos = np.arange(length, dtype=np.min_scalar_type(length))
+    if domain.kind is DomainKind.BINARY:  # single point: the loci before the cut
+        keep = pos < rng.integers(1, length, size=m).astype(pos.dtype)[:, None]
+    else:
+        # OX: the segment lo..hi as pos - lo <= hi - lo, where loci before lo
+        # wrap past it. One (2, m) draw gives the ends and generator state of
+        # two draws of m
+        a, b = rng.integers(0, length, size=(2, m)).astype(pos.dtype)
+        lo = np.minimum(a, b)[:, None]
+        keep = pos - lo <= np.maximum(a, b)[:, None] - lo
+    # row 2i keeps pair i's first parent there and is filled from its second,
+    # row 2i+1 the other way round
+    return recombine(domain, pairs.reshape(2 * m, length), keep.repeat(2, axis=0),
+                     pairs[:, ::-1].reshape(2 * m, length))
 
 
 def mutate_batch(domain: GeneDomain, genomes: np.ndarray,
@@ -72,49 +77,32 @@ def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels
+# the recombination kernel
 
-def _single_point_batch(pairs: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Both single-point children of each (m, 2, L) pair, in pair order:
-    loci from the pair's cut on come from the other parent.
+def recombine(domain: GeneDomain, base: np.ndarray, keep: np.ndarray,
+              fill: np.ndarray) -> np.ndarray:
+    """Children holding `base`'s genes where the bool `keep` is set and
+    `fill`'s elsewhere, one per row of the (n, L) `fill`; `base` and `keep`
+    are (n, L) or one row shared by every child.
 
-    The mask compares positions in the narrowest unsigned type that holds
-    the genome length, so it is the same bool mask as an int64 compare. The
-    children are the parents ^ swap with swap = (p1 ^ p2) * mask: where the
-    mask is set that exchanges the two genes exactly, elsewhere it keeps
-    them, for any integer genes and in the parents' dtype.
+    Binary genes are fill ^ (base ^ fill) * keep. Permutations take the OX
+    fill: a child's open loci hold, in `fill`'s order, the symbols of `fill`
+    that its kept loci (which must be distinct) lack. The kept symbols are
+    set in one flat n * (L+1) bool table, row r's symbols 1..L at offset
+    r * (L+1), and read for `fill` with one `take`; one flat `np.compress`
+    of `fill` then fills the open loci. A shared row is broadcast by
+    assignment into a full array, which is cheaper than `np.broadcast_to`.
     """
-    length = pairs.shape[2]
-    pos_type = np.min_scalar_type(length)
-    take_other = np.arange(length, dtype=pos_type) >= cuts.astype(pos_type)[:, None]
-    swap = (pairs[:, 0] ^ pairs[:, 1]) * take_other
-    return pairs ^ swap[:, None]
-
-
-def _ox_batch(seg_parent: np.ndarray, fill_parent: np.ndarray,
-              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """One OX child per row: segment from seg_parent, fill order from fill_parent.
-
-    Loci are compared as positions in the narrowest unsigned type that holds
-    the genome length, in one compare: pos - lo <= hi - lo, as positions
-    before lo wrap past every segment length. Whether a symbol lies in its
-    row's segment is kept in one flat bool table of m * (L+1) entries, row
-    r's symbols 1..L at offset r * (L+1), set with one 1-D index and read for
-    fill_parent with one `take`. The child starts as seg_parent, and one flat
-    `np.compress` of fill_parent fills its other loci in fill_parent's order.
-    """
-    m, length = seg_parent.shape
-    pos_type = np.min_scalar_type(length)
-    lo = lo.astype(pos_type)[:, None]
-    in_segment = np.arange(length, dtype=pos_type) - lo <= hi.astype(pos_type)[:, None] - lo
-
-    offsets = np.arange(0, m * (length + 1), length + 1)[:, None]
-    marked = np.zeros(m * (length + 1), dtype=bool)
-    marked[(seg_parent + offsets)[in_segment]] = True
-    fill_in_segment = marked.take(fill_parent + offsets)
-
-    # each row has as many loci outside the segment as symbols absent from
-    # it, so the row-major compaction lines up row by row
-    child = seg_parent.copy()
-    child[~in_segment] = np.compress(~fill_in_segment.ravel(), fill_parent.ravel())
+    if domain.kind is DomainKind.BINARY:
+        return fill ^ (base ^ fill) * keep
+    n, length = fill.shape
+    child = np.empty(fill.shape, np.result_type(base, fill))
+    child[...] = base
+    open_loci = np.logical_not(keep, out=np.empty(fill.shape, bool))
+    offsets = np.arange(0, n * (length + 1), length + 1)[:, None]
+    kept = np.zeros(n * (length + 1), dtype=bool)
+    kept[(child + offsets)[~open_loci]] = True
+    # each row has as many open loci as symbols its kept loci lack, so the
+    # row-major compaction lines up row by row
+    child[open_loci] = np.compress(~kept.take(fill + offsets).ravel(), fill.ravel())
     return child

@@ -4,12 +4,12 @@ from .knapsack import (Knapsack, KnapsackInstance, generate_knapsack_instance,
 from .onemax import OneMax
 from .vrp import (SUITE_DIMENSIONS, VehicleRouting, VrpInstance, format_instance,
                   generate_instance, load_instance, parse_instance, standard_suite,
-                  vrp_decode, vrp_dp_optimum, write_instance)
+                  vrp_dp_optimum, write_instance)
 
 __all__ = [
     "Problem", "OneMax",
     "Knapsack", "KnapsackInstance", "generate_knapsack_instance", "knapsack_dp_optimum",
     "VehicleRouting", "VrpInstance", "SUITE_DIMENSIONS", "format_instance",
     "generate_instance", "load_instance", "parse_instance", "standard_suite",
-    "vrp_decode", "vrp_dp_optimum", "write_instance",
+    "vrp_dp_optimum", "write_instance",
 ]

@@ -12,16 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome import GeneDomain, _check_int, _is_number
+from ..genome import GeneDomain, _check_int, _is_finite
 from .base import Problem, _check_instance
 
 # items x (capacity + 1): the work of the DP, and a bound on its capacity row
 DP_MAX_CELLS = 10_000_000
-
-
-def _is_finite(x) -> bool:
-    """False for a non-finite number and for anything that is no number, a bool included."""
-    return _is_number(x) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

@@ -119,19 +119,6 @@ class VehicleRouting(Problem):
         return self._legs.take(path[:, :-1] * (length + 1) + path[:, 1:]).sum(axis=1)
 
 
-def vrp_decode(instance: VrpInstance, genes: Genome) -> list[list[int]]:
-    """Split the genome into the K per-vehicle customer sequences."""
-    domain = GeneDomain.permutation(instance.n_customers, instance.n_vehicles - 1)
-    genes = domain.validate(genes)
-    routes: list[list[int]] = [[]]
-    for symbol in genes:
-        if symbol > instance.n_customers:
-            routes.append([])
-        else:
-            routes[-1].append(int(symbol))
-    return routes
-
-
 def generate_instance(n_customers: int, n_vehicles: int, seed: int,
                       name: str | None = None) -> VrpInstance:
     """Seeded instance: depot at (50, 50), customers uniform on [0, 100]^2."""

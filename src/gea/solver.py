@@ -38,7 +38,7 @@ import numpy as np
 from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
                           directed_mutation_batch, gene_injection_batch,
                           repetition_matrix)
-from .genome import GeneDomain, _check_int, _is_number
+from .genome import GeneDomain, _check_int, _is_finite, _is_number
 from .operators import crossover_batch, mutate_batch
 from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
                          roulette_indices)
@@ -87,8 +87,9 @@ def _problem_domain(problem) -> GeneDomain:
 def _check_fraction(name: str, value, low_open: bool = False) -> float:
     if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    # written so that NaN, which fails every comparison, is rejected too
+    # NaN fails every comparison, and so does an int too large for a float,
+    # which stays an int
+    value = float(value) if _is_finite(value) else value
     if not 0.0 <= value <= 1.0 or (low_open and value == 0.0):
         bracket = "(" if low_open else "["
         raise ValueError(f"{name} must be in {bracket}0.0, 1.0], got {value}")
@@ -103,11 +104,11 @@ def _check_weights(weights, variant: str) -> tuple[float, float, float]:
         values = None
     if values is None or not all(map(_is_number, values)):
         raise ValueError(f"scenario_weights must be a sequence of 3 numbers, got {weights!r}")
-    values = tuple(map(float, values))
     if len(values) != 3:
         raise ValueError(f"scenario_weights must have 3 entries, got {len(values)}")
-    if not all(math.isfinite(w) for w in values):
+    if not all(map(_is_finite, values)):
         raise ValueError(f"scenario_weights entries must be finite, got {values}")
+    values = tuple(map(float, values))
     if any(w < 0 for w in values):
         raise ValueError(f"scenario_weights entries must be non-negative, got {values}")
     if variant == "gea" and sum(values) <= 0:

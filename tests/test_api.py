@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "VARIANTS", "VehicleRouting", "VrpInstance", "__version__", "compute_stats",
     "confidence_interval", "derive_run_seed", "full_benchmark", "generate_instance",
     "generate_knapsack_instance", "interval_data", "knapsack_dp_optimum", "load_instance",
-    "run_batch", "standard_suite", "vrp_decode", "vrp_dp_optimum", "write_instance",
+    "run_batch", "standard_suite", "vrp_dp_optimum", "write_instance",
 ]
 
 
@@ -80,6 +80,15 @@ MISUSE = {
                                "crossover_rate must be a number, got '0.8'"),
     "fit-elite_fraction-bytes": (lambda: fit(elite_fraction=b"0.5"),
                                  "elite_fraction must be a number, got b'0.5'"),
+    "fit-crossover_rate-huge-int": (lambda: fit(crossover_rate=10**400),
+                                    r"crossover_rate must be in \[0\.0, 1\.0\], got 10{400}$"),
+    "fit-elite_fraction-huge-int": (lambda: fit(elite_fraction=10**400),
+                                    r"elite_fraction must be in \(0\.0, 1\.0\], got 10{400}$"),
+    "fit-threshold_fraction-huge-negative-int": (
+        lambda: fit(threshold_fraction=-10**400),
+        r"threshold_fraction must be in \[0\.0, 1\.0\], got -10{400}$"),
+    "fit-scenario_weights-huge-int": (lambda: fit(scenario_weights=(10**400, 0, 0)),
+                                      r"scenario_weights entries must be finite, got \(10{400}, "),
     "fit-scenario_weights-bool": (lambda: fit(scenario_weights=(True, False, False)),
                                   r"scenario_weights must be a sequence of 3 numbers, "
                                   r"got \(True, False, False\)"),
@@ -109,6 +118,8 @@ MISUSE = {
                                      "weights must be finite, got '1' at index 0"),
     "KnapsackInstance-weights-bool": (lambda: KnapsackInstance((True, 2.0), (3.0, 4.0), 5.0),
                                       "weights must be finite, got True at index 0"),
+    "KnapsackInstance-weights-huge-int": (lambda: KnapsackInstance((10**400,), (1.0,), 5.0),
+                                          "weights must be finite, got 10{400} at index 0"),
     "KnapsackInstance-values-numpy-bool": (
         lambda: KnapsackInstance((1.0, 2.0), (3.0, np.True_), 5.0),
         r"values must be finite, got (np\.)?True_? at index 1"),

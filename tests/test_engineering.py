@@ -250,6 +250,43 @@ class TestGeneInjection:
                                   np.tile(pdc[masked], (100, 1)))
 
 
+def symbol_table_repair(mask, dc_genes, genomes):
+    """The former permutation injection, one row at a time: the first masked
+    locus of each dominant symbol takes that symbol, and the row's other
+    symbols fill the remaining loci in row order."""
+    first_locus = {}
+    for locus in np.flatnonzero(mask).tolist():
+        first_locus.setdefault(int(dc_genes[locus]), locus)
+    fixed = {locus: symbol for symbol, locus in first_locus.items()}
+    out = []
+    for row in genomes.tolist():
+        rest = iter([symbol for symbol in row if symbol not in first_locus])
+        out.append([fixed[locus] if locus in fixed else next(rest)
+                    for locus in range(len(row))])
+    return out
+
+
+class TestPermutationInjectionOracle:
+    @pytest.mark.parametrize("domain", [GeneDomain.permutation(7, separators=2),
+                                        GeneDomain.permutation(290, separators=10)],
+                             ids=lambda d: f"L{d.length}-{np.dtype(d.dtype).name}")
+    def test_equals_symbol_table_repair(self, domain):
+        # dominant chromosomes with repeated symbols, some of them under the
+        # mask, as a near-converged elite gives
+        rng = np.random.default_rng(domain.length)
+        for _ in range(200):
+            genomes = domain.sample_batch(rng, int(rng.integers(1, 20)))
+            dc_genes = rng.choice(domain.alphabet, size=domain.length).astype(domain.dtype)
+            mask = rng.random(domain.length) < rng.choice([0.0, 0.3, 0.7, 1.0])
+            masked = np.flatnonzero(mask)
+            if masked.size >= 2:
+                dc_genes[masked[-1]] = dc_genes[masked[0]]
+            out = gene_injection_batch(domain, genomes, mask, dc_genes)
+            assert out.dtype == domain.dtype
+            assert out.tolist() == symbol_table_repair(mask, dc_genes, genomes)
+            assert np.array_equal(np.sort(out, axis=1), np.sort(genomes, axis=1))
+
+
 class TestMaskReading:
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_nonzero_entry_is_fixed_in_both_kernels(self, kind):

@@ -3,8 +3,7 @@ import pytest
 
 import gea.operators
 from gea.genome import DomainKind, GeneDomain
-from gea.operators import (_ox_batch, _single_point_batch, crossover_batch, mutate_batch,
-                           mutate_loci)
+from gea.operators import crossover_batch, mutate_batch, mutate_loci, recombine
 
 BIN4 = GeneDomain.binary(4)
 PERM5 = GeneDomain.permutation(5)
@@ -36,7 +35,7 @@ def reference_single_point(p1, p2, cuts):
     return np.where(take_other, p2, p1), np.where(take_other, p1, p2)
 
 
-class TestSinglePointOracle:
+class TestRecombineSinglePointOracle:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     @pytest.mark.parametrize("length", [2, 8, 255, 256, 300])
     def test_bit_equal_to_reference(self, length, dtype):
@@ -49,10 +48,13 @@ class TestSinglePointOracle:
         p1[:5], p2[:5] = p1[:5] % 2, p2[:5] % 2
         cuts = rng.integers(1, length, size=m)
         cuts[:3], cuts[3:6] = 1, length - 1
-        children = _single_point_batch(np.stack([p1, p2], axis=1), cuts)
+        # each child keeps its own parent's loci before the cut
+        keep = np.arange(length) < cuts[:, None]
+        domain = GeneDomain.binary(length)
+        c1, c2 = recombine(domain, p1, keep, p2), recombine(domain, p2, keep, p1)
         e1, e2 = reference_single_point(p1, p2, cuts)
-        assert children.dtype == e1.dtype == dtype
-        assert np.array_equal(children, np.stack([e1, e2], axis=1))
+        assert c1.dtype == c2.dtype == e1.dtype == dtype
+        assert np.array_equal(c1, e1) and np.array_equal(c2, e2)
 
 
 class TestOrderCrossover:
@@ -127,7 +129,65 @@ def reference_ox(seg_parent, fill_parent, lo, hi):
     return child
 
 
-class TestOxKernelOracle:
+class TestRecombineExamples:
+    def test_single_point_example(self):
+        # the cut at two: loci 0 and 1 kept from the base
+        keep = np.array([True, True, False, False])
+        assert recombine(BIN4, np.array([[0, 0, 0, 0]]), keep,
+                         np.array([[1, 1, 1, 1]])).tolist() == [[0, 0, 1, 1]]
+
+    def test_hand_traced_ox_example(self):
+        # keeps (.,.,3,4,.) and takes 5,2,1 in the fill's order
+        keep = np.array([[False, False, True, True, False]])
+        assert recombine(PERM5, np.array([[1, 2, 3, 4, 5]]), keep,
+                         np.array([[5, 4, 3, 2, 1]])).tolist() == [[5, 2, 3, 4, 1]]
+
+
+def reference_recombine(binary, base, keep, fill):
+    """One child per row of `fill`, built in a Python loop: `base`'s genes at
+    the kept loci; elsewhere `fill`'s gene at the locus (binary), or `fill`'s
+    symbols that the kept loci lack, in `fill`'s order (permutation)."""
+    base, keep = np.broadcast_to(base, fill.shape), np.broadcast_to(keep, fill.shape)
+    children = []
+    for b, k, f in zip(base.tolist(), keep.tolist(), fill.tolist()):
+        if binary:
+            children.append([kept if is_kept else other for kept, is_kept, other in zip(b, k, f)])
+            continue
+        kept = {gene for gene, is_kept in zip(b, k) if is_kept}
+        rest = iter([gene for gene in f if gene not in kept])
+        children.append([gene if is_kept else next(rest) for gene, is_kept in zip(b, k)])
+    return children
+
+
+class TestRecombineProperty:
+    @pytest.mark.parametrize("domain,dtype", [
+        (GeneDomain.binary(9), np.uint8),
+        (GeneDomain.binary(300), np.uint16),
+        (GeneDomain.permutation(7, separators=2), np.uint8),
+        (GeneDomain.permutation(7, separators=2), np.uint16),
+        (GeneDomain.permutation(290, separators=10), np.uint16),
+    ], ids=lambda x: getattr(x, "__name__", None) or f"{x.kind.name}-{x.length}")
+    @pytest.mark.parametrize("shared", ["none", "keep", "base", "both"])
+    def test_equals_per_row_loop(self, domain, dtype, shared):
+        # random rows and masks, one mask density per trial, from all open
+        # to all kept; a shared base or mask is one (L,) row for every child
+        rng = np.random.default_rng(domain.length)
+        binary = domain.kind is DomainKind.BINARY
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            n = int(rng.integers(1, 30))
+            fill = domain.sample_batch(rng, n).astype(dtype)
+            base = domain.sample_batch(rng, 1 if shared in ("base", "both") else n).astype(dtype)
+            keep = rng.random((1 if shared in ("keep", "both") else n, domain.length)) < density
+            if shared in ("base", "both"):
+                base = base[0]
+            if shared in ("keep", "both"):
+                keep = keep[0]
+            child = recombine(domain, base, keep, fill)
+            assert child.shape == fill.shape and child.dtype == dtype
+            assert child.tolist() == reference_recombine(binary, base, keep, fill)
+
+
+class TestRecombineOxOracle:
     @pytest.mark.parametrize("domain", [
         GeneDomain.permutation(2),
         GeneDomain.permutation(16, separators=4),
@@ -145,7 +205,8 @@ class TestOxKernelOracle:
         # one-locus segments, then whole-row segments
         hi[:10] = lo[:10]
         lo[10:20], hi[10:20] = 0, length - 1
-        child = _ox_batch(seg_parent, fill_parent, lo, hi)
+        in_segment = (np.arange(length) >= lo[:, None]) & (np.arange(length) <= hi[:, None])
+        child = recombine(domain, seg_parent, in_segment, fill_parent)
         expected = reference_ox(seg_parent, fill_parent, lo, hi)
         assert child.dtype == expected.dtype == domain.dtype
         assert np.array_equal(child, expected)
@@ -186,16 +247,19 @@ class TestOxSegmentDistribution:
         # has probability 2/36 for lo < hi and 1/36 for lo == hi; 60,000 pairs
         domain, m = GeneDomain.permutation(6), 60_000
         seen = []
-        kernel = gea.operators._ox_batch
+        kernel = gea.operators.recombine
 
-        def recorded(seg_parent, fill_parent, lo, hi):
-            seen.append((lo, hi))
-            return kernel(seg_parent, fill_parent, lo, hi)
+        def recorded(domain, base, keep, fill):
+            seen.append(keep)
+            return kernel(domain, base, keep, fill)
 
-        monkeypatch.setattr(gea.operators, "_ox_batch", recorded)
+        monkeypatch.setattr(gea.operators, "recombine", recorded)
         pairs = np.tile(np.arange(1, 7, dtype=domain.dtype), (m, 2, 1))
         crossover_batch(domain, pairs, np.random.default_rng(8))
-        (lo, hi), = seen
+        keep, = seen
+        # each kept segment is one run of loci lo..hi
+        lo, hi = keep.argmax(axis=1), 5 - keep[:, ::-1].argmax(axis=1)
+        assert np.array_equal(keep.sum(axis=1), hi - lo + 1)
         # both children of a pair share its segment
         assert np.array_equal(lo[0::2], lo[1::2]) and np.array_equal(hi[0::2], hi[1::2])
         counts = np.bincount(lo[0::2] * 6 + hi[0::2], minlength=36).reshape(6, 6)

@@ -7,32 +7,12 @@ import pytest
 
 from gea.problems import (VehicleRouting, VrpInstance, format_instance,
                           generate_instance, parse_instance, standard_suite,
-                          vrp_dp_optimum, vrp_decode)
+                          vrp_dp_optimum)
 from gea.problems.vrp import SUITE_DIMENSIONS
 
 
 def collinear_instance(k=1):
     return VrpInstance("line", k, (0.0, 0.0), ((1.0, 0.0), (2.0, 0.0)))
-
-
-class TestDecode:
-    def test_two_routes(self):
-        inst = generate_instance(4, 2, 1)
-        routes = vrp_decode(inst, np.array([2, 1, 5, 3, 4]))
-        assert routes == [[2, 1], [3, 4]]
-
-    def test_leading_separator_gives_empty_route(self):
-        inst = generate_instance(4, 2, 1)
-        assert vrp_decode(inst, np.array([5, 1, 2, 3, 4])) == [[], [1, 2, 3, 4]]
-
-    def test_single_vehicle(self):
-        inst = generate_instance(3, 1, 1)
-        assert vrp_decode(inst, np.array([3, 1, 2])) == [[3, 1, 2]]
-
-    def test_invalid_permutation_rejected(self):
-        inst = generate_instance(3, 1, 1)
-        with pytest.raises(ValueError):
-            vrp_decode(inst, np.array([1, 1, 2]))
 
 
 class TestEvaluate:
