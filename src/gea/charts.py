@@ -78,8 +78,8 @@ def convergence_chart(series: dict[str, np.ndarray], title: str) -> str:
     for index, (label, trace) in enumerate(series.items()):
         color = PALETTE.get(label, _FALLBACK_COLORS[index % len(_FALLBACK_COLORS)])
         if len(trace):
-            points = " ".join(f"{sx(i + 1):.2f},{sy(float(v)):.2f}"
-                              for i, v in enumerate(trace))
+            points = " ".join(f"{sx(i + 1):.2f},{sy(v):.2f}"
+                              for i, v in _run_ends(trace))
             out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                        f'stroke-width="1.6"/>')
         legend_y = MARGIN_TOP + 16 + 22 * index
@@ -89,6 +89,18 @@ def convergence_chart(series: dict[str, np.ndarray], title: str) -> str:
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _run_ends(trace: np.ndarray) -> zip:
+    """(iteration index, value) of the first and last point of each run of
+    equal values: a polyline through them draws the whole trace, since the
+    points between a run's ends lie on its flat segment."""
+    trace = np.asarray(trace, dtype=np.float64)
+    ends = np.ones(trace.size, dtype=bool)
+    change = trace[1:] != trace[:-1]
+    ends[1:-1] = change[:-1] | change[1:]
+    index = ends.nonzero()[0]
+    return zip(index.tolist(), trace[index].tolist())
 
 
 def _escape(text: str) -> str:

@@ -52,6 +52,8 @@ RUN_SETTINGS = {
     "weights": ("scenario_weights", _weights, "scenario weights w1,w2,w3"),
 }
 _KINDS = {int: "an integer", float: "a number"}
+# `run` draws no charts: a chart compares the variants on an instance
+_FORMATS = {"run": ("csv", "table"), "bench": ("csv", "table", "svg")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (_, _, setting_help) in RUN_SETTINGS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=setting_help)
         p.add_argument("--out", type=Path, default="gea-out", help="output directory")
-        p.add_argument("--formats", default="csv,table,svg",
-                       help="outputs to write: csv,table,svg subset")
+        p.add_argument("--formats", default=",".join(_FORMATS[name]),
+                       help=f"outputs to write: {','.join(_FORMATS[name])} subset")
         p.set_defaults(func=cmd_report, grid=grid)
 
     gen_p = sub.add_parser("gen-instance", help="write a seeded routing instance file")
@@ -117,9 +119,10 @@ def run_params(args: argparse.Namespace) -> dict:
 
 def formats(args: argparse.Namespace) -> set[str]:
     wanted = set(_split_list(args.formats, "formats"))
-    unknown = wanted - {"csv", "table", "svg"}
+    unknown = wanted.difference(_FORMATS[args.command])
     if unknown:
-        raise UsageError(f"unknown report format: {', '.join(sorted(unknown))}")
+        raise UsageError(f"unknown report format for {args.command}: "
+                         f"{', '.join(sorted(unknown))}")
     return wanted
 
 
@@ -186,7 +189,7 @@ def _report_files(bench, wanted: set[str], grid: bool) -> dict[str, str]:
             files["intervals.csv"] = bench.intervals_csv()
     if "table" in wanted:
         files["table.txt"] = bench.table_text()
-    if grid and "svg" in wanted:
+    if "svg" in wanted:
         for instance in bench.instances:
             files[f"{instance}.svg"] = convergence_chart(
                 bench.mean_traces(instance), f"convergence on {instance}")

@@ -5,12 +5,16 @@ One elite pass of plain functions over arrays, with no result classes:
 `dominant_chromosome` the most repeated symbol per locus (first occurrence
 winning ties) with its count, and `build_mask` a bool mask, True where that
 count exceeds the threshold (a fixed locus). Three mechanisms consume the
-pass and read the mask one way, as bool:
+pass. Each reads the mask in one derived form, which is fixed until the
+elite changes, so a fit derives it once per pass; a nonzero entry fixes its
+locus:
 
-* directed mutation: mutation confined to the loci the mask leaves open;
+* directed mutation: mutation confined to `free_loci`, the loci the mask
+  leaves open;
 * gene injection: `operators.recombine` of each poor member with the
-  dominant chromosome, which keeps the dominant symbols at the masked loci
-  (on permutations, only each symbol's first) and the member's genes elsewhere;
+  dominant chromosome, which keeps the dominant symbols at the loci of
+  `injection_keep` (the masked loci; on permutations, only each symbol's
+  first) and the member's genes elsewhere;
 * the dominant candidate (scenario 1): gene injection with every locus
   masked, so the dominant genes as they are when binary.
 """
@@ -63,34 +67,56 @@ def build_mask(repeat_counts: np.ndarray, threshold: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the pass read by the mechanisms, derived once per pass
+
+def free_loci(domain: GeneDomain, mask: np.ndarray) -> np.ndarray:
+    """The ascending loci the mask leaves open, which directed mutation
+    draws from; a nonzero mask entry fixes its locus."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (domain.length,):
+        raise ValueError("mask length must equal genome length")
+    return (~mask).nonzero()[0]
+
+
+def injection_keep(domain: GeneDomain, mask: np.ndarray, dc_genes: np.ndarray) -> np.ndarray:
+    """Bool row of the loci whose dominant gene gene injection keeps: the
+    masked loci (a nonzero entry), and on permutations, which hold each
+    symbol once, only the first masked locus of each dominant symbol."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (domain.length,) or dc_genes.shape != (domain.length,):
+        raise ValueError("mask and dominant chromosome must match the genome length")
+    if domain.kind is DomainKind.BINARY:
+        return mask
+    masked = mask.nonzero()[0]
+    keep = np.zeros_like(mask)
+    keep[masked[np.unique(dc_genes[masked], return_index=True)[1]]] = True
+    return keep
+
+
+# ---------------------------------------------------------------------------
 # directed mutation (scenario 2)
 
-def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, mask: np.ndarray,
+def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
-    """Mutate only unmasked loci; rows come back unchanged when too few exist."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != genomes.shape[1:]:
-        raise ValueError("mask length must equal genome length")
-    return mutate_loci(domain, genomes, np.flatnonzero(~mask), rng)
+    """Mutate only the `free` loci (`free_loci` of the mask); rows come back
+    unchanged when too few are free."""
+    length = genomes.shape[1]
+    if free.ndim != 1 or free.dtype.kind not in "iu" or (
+            free.size and (free.min() < 0 or free.max() >= length)):
+        raise ValueError(f"free loci must be a row of integer loci in 0..{length - 1}")
+    return mutate_loci(domain, genomes, free, rng)
 
 
 # ---------------------------------------------------------------------------
 # gene injection (scenario 3)
 
-def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask: np.ndarray,
+def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, keep: np.ndarray,
                          dc_genes: np.ndarray) -> np.ndarray:
     """Each recipient recombined with the dominant chromosome: dominant
-    symbols at the masked loci, the recipient's genes elsewhere."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != genomes.shape[1:] or dc_genes.shape != genomes.shape[1:]:
-        raise ValueError("mask and dominant chromosome must match the genome length")
-    keep = mask
-    if domain.kind is DomainKind.PERMUTATION:
-        # a permutation holds each symbol once: keep the first masked locus
-        # of each dominant symbol
-        masked = np.flatnonzero(mask)
-        keep = np.zeros_like(mask)
-        keep[masked[np.unique(dc_genes[masked], return_index=True)[1]]] = True
+    symbols at the `keep` loci (`injection_keep` of the mask), the
+    recipient's genes elsewhere."""
+    if keep.dtype != bool or keep.shape != genomes.shape[1:] or dc_genes.shape != keep.shape:
+        raise ValueError("keep row (bool) and dominant chromosome must match the genome length")
     return recombine(domain, dc_genes, keep, genomes)
 
 
@@ -102,5 +128,5 @@ def dominant_candidate(domain: GeneDomain, dc_genes: np.ndarray,
     """Dominant genes as a full genome, a fresh array: gene injection into
     `template` with every locus masked, which on permutations keeps each
     dominant symbol's first locus and fills the rest in `template`'s order."""
-    return gene_injection_batch(domain, template[None, :], np.ones(dc_genes.shape, dtype=bool),
-                                dc_genes)[0]
+    keep = injection_keep(domain, np.ones(dc_genes.shape, dtype=bool), dc_genes)
+    return gene_injection_batch(domain, template[None, :], keep, dc_genes)[0]

@@ -15,6 +15,8 @@ fills the rest from each recipient. `mutate_loci` is the one mutation kernel:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .genome import DomainKind, GeneDomain
@@ -31,7 +33,7 @@ def crossover_batch(domain: GeneDomain, pairs: np.ndarray,
     if length < 2:
         return pairs.reshape(2 * m, length).copy()
     # loci as positions in the narrowest unsigned type that holds the length
-    pos = np.arange(length, dtype=np.min_scalar_type(length))
+    pos = _arange(length, 1, True)
     if domain.kind is DomainKind.BINARY:  # single point: the loci before the cut
         keep = pos < rng.integers(1, length, size=m).astype(pos.dtype)[:, None]
     else:
@@ -50,7 +52,7 @@ def crossover_batch(domain: GeneDomain, pairs: np.ndarray,
 def mutate_batch(domain: GeneDomain, genomes: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """One uniformly drawn bit flip (binary) or distinct-position swap (permutation) per row."""
-    return mutate_loci(domain, genomes, np.arange(genomes.shape[1]), rng)
+    return mutate_loci(domain, genomes, _arange(genomes.shape[1]), rng)
 
 
 def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
@@ -64,7 +66,7 @@ def mutate_loci(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
         return out
     # loci as flat positions row * L + locus of the raveled copy
     flat = out.ravel()
-    rows = np.arange(0, m * length, length)
+    rows = _arange(m * length, length)
     i = rng.integers(0, free.size, size=m)
     if binary:
         flat[rows + free[i]] ^= 1
@@ -87,22 +89,45 @@ def recombine(domain: GeneDomain, base: np.ndarray, keep: np.ndarray,
 
     Binary genes are fill ^ (base ^ fill) * keep. Permutations take the OX
     fill: a child's open loci hold, in `fill`'s order, the symbols of `fill`
-    that its kept loci (which must be distinct) lack. The kept symbols are
-    set in one flat n * (L+1) bool table, row r's symbols 1..L at offset
-    r * (L+1), and read for `fill` with one `take`; one flat `np.compress`
-    of `fill` then fills the open loci. A shared row is broadcast by
-    assignment into a full array, which is cheaper than `np.broadcast_to`.
+    that its kept loci (which must be distinct) lack. The symbols still
+    wanted are marked in a bool table over symbols 0..L, read for `fill` with
+    one `take`, and one flat `compress` of `fill` fills the open loci. When
+    `base` and `keep` are both shared rows, as in gene injection, every child
+    wants the same symbols: one (L+1) table serves all rows, and the open
+    loci are filled column-wise. Otherwise the table is one flat n * (L+1)
+    array, row r's symbols at offset r * (L+1). Permutation children take
+    `base`'s dtype.
     """
     if domain.kind is DomainKind.BINARY:
         return fill ^ (base ^ fill) * keep
     n, length = fill.shape
-    child = np.empty(fill.shape, np.result_type(base, fill))
-    child[...] = base
-    open_loci = np.logical_not(keep, out=np.empty(fill.shape, bool))
-    offsets = np.arange(0, n * (length + 1), length + 1)[:, None]
-    kept = np.zeros(n * (length + 1), dtype=bool)
-    kept[(child + offsets)[~open_loci]] = True
+    if base.shape == fill.shape:
+        child = base.copy()
+    else:
+        # a shared row is broadcast by assignment into a full array, which is
+        # cheaper than `np.broadcast_to`
+        child = np.empty(fill.shape, base.dtype)
+        child[...] = base
+    if base.ndim == keep.ndim == 1:
+        wanted = np.ones(length + 1, dtype=bool)
+        wanted[base[keep]] = False
+        child[:, ~keep] = fill.ravel().compress(wanted.take(fill).ravel()).reshape(n, -1)
+        return child
+    if keep.ndim == 1:
+        keep = np.broadcast_to(keep, fill.shape)
+    offsets = _arange(n * (length + 1), length + 1)[:, None]
+    wanted = np.ones(n * (length + 1), dtype=bool)
+    wanted[(child + offsets)[keep]] = False
     # each row has as many open loci as symbols its kept loci lack, so the
     # row-major compaction lines up row by row
-    child[open_loci] = np.compress(~kept.take(fill + offsets).ravel(), fill.ravel())
+    child[~keep] = fill.ravel().compress(wanted.take(fill + offsets).ravel())
     return child
+
+
+@functools.lru_cache(maxsize=64)
+def _arange(stop: int, step: int = 1, narrow: bool = False) -> np.ndarray:
+    """Read-only `np.arange(0, stop, step)`, made once per genome shape: in
+    the narrowest unsigned type that holds `stop` if `narrow`, else in intp."""
+    table = np.arange(0, stop, step, dtype=np.min_scalar_type(stop) if narrow else np.intp)
+    table.flags.writeable = False
+    return table

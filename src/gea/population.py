@@ -33,7 +33,7 @@ class Population:
         if genes.dtype.kind not in "biu":
             raise ValueError(f"Population genes must be bool or integer, got dtype {genes.dtype}")
         costs = _checked_costs(costs, genes.shape[0])
-        order = np.argsort(costs, kind="stable")
+        order = costs.argsort(kind="stable")
         self.genes, self.costs = genes[order], costs[order]
         self.genes.flags.writeable = self.costs.flags.writeable = False
         self._fingerprints = _row_fingerprints(self.genes)
@@ -81,16 +81,16 @@ class Population:
         size = len(self)
         genes = np.concatenate([self.genes, offspring_genes])
         costs = np.concatenate([self.costs, offspring_costs])
-        order = np.argsort(costs, kind="stable")
+        order = costs.argsort(kind="stable")
         prints = np.concatenate([self._fingerprints, _row_fingerprints(offspring_genes)])
 
         # ranks index the cost order; only the kept rows are ever gathered
         is_first = _first_in_cost_order(genes, order, prints)
-        first_ranks = np.flatnonzero(is_first)
+        first_ranks = is_first.nonzero()[0]
         if first_ranks.size >= size:
             keep = first_ranks[:size]
         else:
-            duplicates = np.flatnonzero(~is_first)[: size - first_ranks.size]
+            duplicates = (~is_first).nonzero()[0][: size - first_ranks.size]
             keep = np.sort(np.concatenate([first_ranks, duplicates]))
         rows = order[keep]
         return Population._kept(genes.take(rows, axis=0), costs[rows], prints[rows])
@@ -107,7 +107,7 @@ def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,
     a collision (one pair differs) takes `_exact_first_in_cost_order`.
     """
     ranked = prints[order]
-    by_print = np.argsort(ranked, kind="stable")
+    by_print = ranked.argsort(kind="stable")
     sorted_prints = ranked[by_print]
     repeat = sorted_prints[1:] == sorted_prints[:-1]
     is_first = np.ones(order.size, dtype=bool)

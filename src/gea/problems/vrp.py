@@ -110,13 +110,14 @@ class VehicleRouting(Problem):
         checked in the genes' own dtype, before the cast could wrap it.
         """
         m, length = genomes.shape
-        if m and (genomes.min() < 1 or genomes.max() > length):
+        if m and (np.minimum.reduce(genomes, axis=None) < 1
+                  or np.maximum.reduce(genomes, axis=None) > length):
             row, locus = np.argwhere((genomes < 1) | (genomes > length))[0]
             raise ValueError(f"row {row} holds symbol {genomes[row, locus]}, "
                              f"outside 1..{length}")
         path = np.zeros((m, length + 2), dtype=self._index_type)
         path[:, 1:-1] = genomes
-        return self._legs.take(path[:, :-1] * (length + 1) + path[:, 1:]).sum(axis=1)
+        return np.add.reduce(self._legs.take(path[:, :-1] * (length + 1) + path[:, 1:]), axis=1)
 
 
 def generate_instance(n_customers: int, n_vehicles: int, seed: int,

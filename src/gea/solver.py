@@ -20,13 +20,17 @@ elitistically back to the population size, so the best cost never regresses.
 When any mechanism fires, the elite statistics (dominant chromosome and
 pattern mask) are read from the population before the offspring and shared
 by all three mechanisms. They are computed in one pass per distinct elite: a
-fit keeps the last pass, with the repaired dominant candidate once scenario 1
-asks for it, and reuses it while the elite rows are unchanged. The pass draws
-no random numbers, so reusing it leaves every fit as it was.
+fit keeps the last pass and reuses it while the elite rows are unchanged,
+with what the mechanisms derive from it, each made the first time one asks:
+the repaired dominant candidate (scenario 1), the free loci of directed
+mutation and the keep row of gene injection. The pass draws no random
+numbers, so reusing it leaves every fit as it was.
 
 Every variant draws its gates from a dedicated scheduler stream, separate from
-the operator stream; a ``gea`` run whose weights force a single scenario
-therefore replays the corresponding fixed variant draw for draw.
+the operator stream, all at once when the fit starts: a (max_iters, 3) bool
+array holding the draws of one ``random(3)`` per generation. A ``gea`` run
+whose weights force a single scenario therefore replays the corresponding
+fixed variant draw for draw.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import math
 import numpy as np
 
 from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
-                          directed_mutation_batch, gene_injection_batch,
-                          repetition_matrix)
+                          directed_mutation_batch, free_loci, gene_injection_batch,
+                          injection_keep, repetition_matrix)
 from .genome import GeneDomain, _check_int, _is_finite, _is_number
 from .operators import crossover_batch, mutate_batch
 from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
@@ -144,17 +148,26 @@ class _Generation:
         # at least 1, by the elite_fraction check above
         self.elite_size = math.ceil(_product(elite_fraction, size))
         self.threshold = math.ceil(_product(threshold_fraction, self.elite_size))
-        # Python floats, compared with the draws as Python floats
+        # each variant's firing probabilities, compared with the draws as float64
         self.weights = _VARIANT_WEIGHTS.get(variant, weights)
         # the last elite pass and the bytes of the elite rows it was computed
-        # from; the candidate is made on the first scenario 1 after each pass
-        self.elite_bytes = self.dominant = self.mask = self.candidate = None
+        # from. What the mechanisms read of it is derived once, on the first
+        # generation after the pass that needs it: the candidate, the free
+        # loci of directed mutation and the keep row of gene injection
+        self.elite_bytes = self.dominant = self.mask = None
+        self.candidate = self.free = self.keep = None
+
+    def schedule(self, scheduler_rng: np.random.Generator) -> np.ndarray:
+        """The fit's scenario gates, a (max_iters, 3) bool array: row i holds
+        generation i's three independent gates, scenario j firing when its
+        draw falls below weight j. One call draws what a `random(3)` per
+        generation would, in the same order."""
+        return scheduler_rng.random((self.max_iters, 3)) < self.weights
 
     def step(self, pop: Population, problem, rng: np.random.Generator,
-             scheduler_rng: np.random.Generator) -> Population:
-        # independent per-scenario gates; weight w_i = firing probability
-        run1, run2, run3 = (draw < w for draw, w in
-                            zip(scheduler_rng.random(3).tolist(), self.weights))
+             gates: np.ndarray) -> Population:
+        # this generation's row of the fit's schedule: the scenarios that fire
+        run1, run2, run3 = gates.tolist()
         if run1 or run2 or run3:
             # one elite pass feeds every mechanism; it draws no random numbers,
             # so the last pass stands while the elite rows are unchanged. The
@@ -167,7 +180,7 @@ class _Generation:
                 self.dominant, repeat_counts = dominant_chromosome(repetition_matrix(elite),
                                                                    elite)
                 self.mask = build_mask(repeat_counts, self.threshold)
-                self.candidate = None
+                self.candidate = self.free = self.keep = None
 
         parts: list[np.ndarray] = []
         if self.n_cross > 0:
@@ -180,7 +193,9 @@ class _Generation:
             source_idx = roulette_indices(self.cumulative, self.n_mut, rng)
             sources = pop.genes[source_idx]
             if run2:
-                parts.append(directed_mutation_batch(self.domain, sources, self.mask, rng))
+                if self.free is None:
+                    self.free = free_loci(self.domain, self.mask)
+                parts.append(directed_mutation_batch(self.domain, sources, self.free, rng))
             else:
                 parts.append(mutate_batch(self.domain, sources, rng))
 
@@ -196,8 +211,10 @@ class _Generation:
             if n_inject > 0:
                 offsets = rng.choice(pool, size=n_inject, replace=False)
                 recipients = pop.genes[self.elite_size + offsets]
+                if self.keep is None:
+                    self.keep = injection_keep(self.domain, self.mask, self.dominant)
                 parts.append(gene_injection_batch(self.domain, recipients,
-                                                  self.mask, self.dominant))
+                                                  self.keep, self.dominant))
 
         if not parts:
             return pop
@@ -255,9 +272,10 @@ class GeaSolver:
         rng, scheduler_rng = split_streams(generation.seed)
         pop = init_population(problem, generation.size, rng)
 
+        gates = generation.schedule(scheduler_rng)
         trace = np.empty(generation.max_iters, dtype=np.float64)
         for i in range(generation.max_iters):
-            pop = generation.step(pop, problem, rng, scheduler_rng)
+            pop = generation.step(pop, problem, rng, gates[i])
             trace[i] = pop.best_cost
 
         self.population_ = pop

@@ -16,7 +16,8 @@ from gea import (Knapsack, VehicleRouting, compute_stats, confidence_interval,
                  knapsack_dp_optimum, run_batch, standard_suite, vrp_dp_optimum)
 from gea.cli import main
 from gea.engineering import (build_mask, dominant_chromosome, directed_mutation_batch,
-                             gene_injection_batch, repetition_matrix)
+                             free_loci, gene_injection_batch, injection_keep,
+                             repetition_matrix)
 from gea.genome import GeneDomain
 from gea.solver import VARIANTS
 
@@ -121,7 +122,7 @@ def test_criterion_5_operator_invariant_suite():
         for _ in range(100):
             bits = rng.integers(0, 2, size=domain.length)
             genomes = domain.sample_batch(rng, 100)
-            out = directed_mutation_batch(domain, genomes, bits, rng)
+            out = directed_mutation_batch(domain, genomes, free_loci(domain, bits), rng)
             fixed = bits == 1
             violations += int(not np.array_equal(out[:, fixed], genomes[:, fixed]))
 
@@ -132,14 +133,15 @@ def test_criterion_5_operator_invariant_suite():
         bits = rng.integers(0, 2, size=10)
         dc_genes = rng.integers(0, 2, size=10)
         genomes = bin_dom.sample_batch(rng, 100)
-        out = gene_injection_batch(bin_dom, genomes, bits, dc_genes)
+        out = gene_injection_batch(bin_dom, genomes, injection_keep(bin_dom, bits, dc_genes),
+                                   dc_genes)
         expected = np.where(bits[None, :] == 1, dc_genes[None, :], genomes)
         violations += int(not np.array_equal(out, expected))
 
         pbits = rng.integers(0, 2, size=perm_dom.length)
         pdc = perm_dom.sample_batch(rng, 1)[0]
         perms = perm_dom.sample_batch(rng, 100)
-        pout = gene_injection_batch(perm_dom, perms, pbits, pdc)
+        pout = gene_injection_batch(perm_dom, perms, injection_keep(perm_dom, pbits, pdc), pdc)
         violations += int(not np.array_equal(
             np.sort(pout, axis=1), np.tile(perm_dom.alphabet, (100, 1))))
         masked = pbits == 1

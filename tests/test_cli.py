@@ -191,6 +191,21 @@ class TestBench:
         assert main(["bench", "--formats", "pdf"]) == 1
         assert "pdf" in capsys.readouterr().err
 
+    def test_run_rejects_svg_before_any_fit(self, tmp_path, capsys):
+        # `run` draws no charts: svg is a usage error, not an empty --out
+        out = tmp_path / "out"
+        assert main(["run", "--formats", "svg", "--runs", "1", "--iters", "2",
+                     "--out", str(out)]) == 1
+        assert "unknown report format for run: svg" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_default_formats_write_csv_and_table(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--instance", "knapsack:5:1", "--runs", "1", "--iters", "2",
+                     "--pop", "6", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "convergence.csv", "results.csv", "table.txt"]
+
     def test_no_format_rejected_before_any_fit(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["bench", "--formats", ",", "--variants", "ga", "--instances", "f1",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gea.engineering import (build_mask, directed_mutation_batch, dominant_candidate,
-                             dominant_chromosome, gene_injection_batch, repetition_matrix)
+                             dominant_chromosome, free_loci, gene_injection_batch,
+                             injection_keep, repetition_matrix)
 from gea.genome import GeneDomain
 from gea.operators import mutate_batch
 
@@ -144,32 +145,45 @@ class TestDirectedMutation:
     def test_binary_flips_only_unmasked_locus(self, scripted_rng):
         dom = GeneDomain.binary(4)
         rng = scripted_rng([0])  # first free locus, i.e. locus 1
-        out = directed_mutation_batch(dom, np.array([[1, 0, 1, 1]]), np.array([1, 0, 0, 1]), rng)
+        out = directed_mutation_batch(dom, np.array([[1, 0, 1, 1]]),
+                                      free_loci(dom, np.array([1, 0, 0, 1])), rng)
         assert out.tolist() == [[1, 1, 1, 1]]
 
     def test_all_ones_mask_is_identity(self):
         dom = GeneDomain.binary(3)
         g = np.array([[1, 0, 1]])
-        out = directed_mutation_batch(dom, g, np.array([1, 1, 1]), np.random.default_rng(0))
+        out = directed_mutation_batch(dom, g, free_loci(dom, np.array([1, 1, 1])),
+                                      np.random.default_rng(0))
         assert out.tolist() == g.tolist()
 
     def test_permutation_forced_swap(self, scripted_rng):
         dom = GeneDomain.permutation(4)
         # free loci are 0 and 3; the second draw skips the first, so both swap
         rng = scripted_rng([0], [0])
-        out = directed_mutation_batch(dom, np.array([[3, 1, 2, 4]]), np.array([0, 1, 1, 0]), rng)
+        out = directed_mutation_batch(dom, np.array([[3, 1, 2, 4]]),
+                                      free_loci(dom, np.array([0, 1, 1, 0])), rng)
         assert out.tolist() == [[4, 1, 2, 3]]
 
     def test_permutation_single_free_locus_is_identity(self):
         dom = GeneDomain.permutation(3)
         g = np.array([[2, 3, 1]])
-        out = directed_mutation_batch(dom, g, np.array([1, 0, 1]), np.random.default_rng(0))
+        out = directed_mutation_batch(dom, g, free_loci(dom, np.array([1, 0, 1])),
+                                      np.random.default_rng(0))
         assert out.tolist() == g.tolist()
 
     def test_mask_length_must_match(self):
         dom = GeneDomain.binary(3)
         with pytest.raises(ValueError, match="mask length"):
-            directed_mutation_batch(dom, np.array([[0, 1, 0]]), np.array([1, 0]),
+            directed_mutation_batch(dom, np.array([[0, 1, 0]]), free_loci(dom, np.array([1, 0])),
+                                    np.random.default_rng(0))
+
+    @pytest.mark.parametrize("free", [np.array([0, 3]), np.array([-1, 1]), np.array([[0, 1]]),
+                                      np.array([True, False, True]), np.array([0.0, 1.0])],
+                             ids=["past_end", "negative", "2d", "bool", "float"])
+    def test_free_loci_outside_the_genome_rejected(self, free):
+        # a locus past the end would wrap into the next row's flat positions
+        with pytest.raises(ValueError, match=r"free loci .* 0\.\.2"):
+            directed_mutation_batch(GeneDomain.binary(3), np.zeros((2, 3), dtype=np.uint8), free,
                                     np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
@@ -177,7 +191,8 @@ class TestDirectedMutation:
         # one mutation kernel: an open mask leaves every locus to draw from
         dom = GeneDomain.binary(8) if kind == "binary" else GeneDomain.permutation(6, 2)
         genomes = dom.sample_batch(np.random.default_rng(4), 200)
-        directed = directed_mutation_batch(dom, genomes, np.zeros(dom.length, dtype=np.int64),
+        directed = directed_mutation_batch(dom, genomes,
+                                           free_loci(dom, np.zeros(dom.length, dtype=np.int64)),
                                            np.random.default_rng(8))
         assert np.array_equal(directed, mutate_batch(dom, genomes, np.random.default_rng(8)))
         assert (directed != genomes).any()
@@ -189,7 +204,7 @@ class TestDirectedMutation:
         for _ in range(100):
             mask_bits = rng.integers(0, 2, size=dom.length)
             genomes = dom.sample_batch(rng, 100)
-            out = directed_mutation_batch(dom, genomes, mask_bits, rng)
+            out = directed_mutation_batch(dom, genomes, free_loci(dom, mask_bits), rng)
             fixed = mask_bits == 1
             assert np.array_equal(out[:, fixed], genomes[:, fixed])
             if kind == "permutation":
@@ -199,21 +214,25 @@ class TestDirectedMutation:
 class TestGeneInjection:
     def test_binary_pointwise(self):
         dom = GeneDomain.binary(4)
-        out = gene_injection_batch(dom, np.array([[0, 0, 0, 0]]), np.array([1, 0, 0, 1]),
-                                   np.array([1, 1, 0, 1]))
+        dc_genes = np.array([1, 1, 0, 1])
+        out = gene_injection_batch(dom, np.array([[0, 0, 0, 0]]),
+                                   injection_keep(dom, np.array([1, 0, 0, 1]), dc_genes), dc_genes)
         assert out.tolist() == [[1, 0, 0, 1]]
 
     def test_zero_mask_is_identity(self):
         dom = GeneDomain.binary(3)
         g = np.array([[0, 1, 0]])
-        out = gene_injection_batch(dom, g, np.array([0, 0, 0]), np.array([1, 1, 1]))
+        dc_genes = np.array([1, 1, 1])
+        out = gene_injection_batch(dom, g, injection_keep(dom, np.array([0, 0, 0]), dc_genes),
+                                   dc_genes)
         assert out.tolist() == g.tolist()
 
     def test_permutation_repair_example(self):
         dom = GeneDomain.permutation(4)
         # locus 0 takes dominant symbol 1; 2, 3, 4 refill the rest in row order
-        out = gene_injection_batch(dom, np.array([[2, 3, 1, 4]]), np.array([1, 0, 0, 0]),
-                                   np.array([1, 3, 2, 4]))
+        dc_genes = np.array([1, 3, 2, 4])
+        out = gene_injection_batch(dom, np.array([[2, 3, 1, 4]]),
+                                   injection_keep(dom, np.array([1, 0, 0, 0]), dc_genes), dc_genes)
         assert out.tolist() == [[1, 2, 3, 4]]
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
@@ -222,9 +241,19 @@ class TestGeneInjection:
         genomes = dom.sample_batch(np.random.default_rng(0), 2)
         dc_genes = dom.sample_batch(np.random.default_rng(1), 1)[0]
         with pytest.raises(ValueError, match="genome length"):
-            gene_injection_batch(dom, genomes, np.array([1, 0]), dc_genes)
+            gene_injection_batch(dom, genomes, injection_keep(dom, np.array([1, 0]), dc_genes),
+                                 dc_genes)
         with pytest.raises(ValueError, match="genome length"):
-            gene_injection_batch(dom, genomes, np.ones(4, dtype=np.int64), dc_genes[:3])
+            gene_injection_batch(dom, genomes,
+                                 injection_keep(dom, np.ones(4, dtype=np.int64), dc_genes[:3]),
+                                 dc_genes[:3])
+
+    def test_keep_row_must_be_bool(self):
+        # a 0/1 integer row is a mask, not a keep row: `injection_keep` reads it
+        dom = GeneDomain.binary(4)
+        with pytest.raises(ValueError, match="keep row"):
+            gene_injection_batch(dom, np.zeros((1, 4), dtype=np.uint8), np.array([1, 0, 0, 1]),
+                                 np.ones(4, dtype=np.uint8))
 
     def test_injection_postconditions_randomized(self):
         rng = np.random.default_rng(77)
@@ -234,14 +263,15 @@ class TestGeneInjection:
             bits = rng.integers(0, 2, size=9)
             dc_genes = rng.integers(0, 2, size=9)
             genomes = bin_dom.sample_batch(rng, 100)
-            out = gene_injection_batch(bin_dom, genomes, bits, dc_genes)
+            out = gene_injection_batch(bin_dom, genomes, injection_keep(bin_dom, bits, dc_genes),
+                                       dc_genes)
             expected = np.where(bits[None, :] == 1, dc_genes[None, :], genomes)
             assert np.array_equal(out, expected)
 
             pbits = rng.integers(0, 2, size=perm_dom.length)
             pdc = perm_dom.sample_batch(rng, 1)[0]
             perms = perm_dom.sample_batch(rng, 100)
-            pout = gene_injection_batch(perm_dom, perms, pbits, pdc)
+            pout = gene_injection_batch(perm_dom, perms, injection_keep(perm_dom, pbits, pdc), pdc)
             assert np.array_equal(np.sort(pout, axis=1),
                                   np.tile(perm_dom.alphabet, (100, 1)))
             masked = pbits == 1
@@ -281,7 +311,8 @@ class TestPermutationInjectionOracle:
             masked = np.flatnonzero(mask)
             if masked.size >= 2:
                 dc_genes[masked[-1]] = dc_genes[masked[0]]
-            out = gene_injection_batch(domain, genomes, mask, dc_genes)
+            out = gene_injection_batch(domain, genomes, injection_keep(domain, mask, dc_genes),
+                                       dc_genes)
             assert out.dtype == domain.dtype
             assert out.tolist() == symbol_table_repair(mask, dc_genes, genomes)
             assert np.array_equal(np.sort(out, axis=1), np.sort(genomes, axis=1))
@@ -298,10 +329,12 @@ class TestMaskReading:
         twos = np.array([2, 0, 0, 2, 0, 0])
         fixed = twos != 0
         assert np.array_equal(
-            directed_mutation_batch(dom, genomes, twos, np.random.default_rng(7)),
-            directed_mutation_batch(dom, genomes, fixed, np.random.default_rng(7)))
-        injected = gene_injection_batch(dom, genomes, twos, dc_genes)
-        assert np.array_equal(injected, gene_injection_batch(dom, genomes, fixed, dc_genes))
+            directed_mutation_batch(dom, genomes, free_loci(dom, twos), np.random.default_rng(7)),
+            directed_mutation_batch(dom, genomes, free_loci(dom, fixed), np.random.default_rng(7)))
+        injected = gene_injection_batch(dom, genomes, injection_keep(dom, twos, dc_genes),
+                                        dc_genes)
+        assert np.array_equal(injected, gene_injection_batch(
+            dom, genomes, injection_keep(dom, fixed, dc_genes), dc_genes))
         assert (injected[:, fixed] == dc_genes[fixed]).all()
 
 
@@ -309,19 +342,24 @@ class TestRepairPermutation:
     # the one permutation repair, reached through gene injection: masked
     # loci keep their dominant symbols, the others are filled in source order
     def test_fill_in_source_order(self):
-        out = gene_injection_batch(GeneDomain.permutation(4), np.array([[2, 3, 1, 4]]),
-                                   np.array([1, 0, 0, 0]), np.array([1, 1, 1, 1]))
+        dom, dc_genes = GeneDomain.permutation(4), np.array([1, 1, 1, 1])
+        out = gene_injection_batch(dom, np.array([[2, 3, 1, 4]]),
+                                   injection_keep(dom, np.array([1, 0, 0, 0]), dc_genes), dc_genes)
         assert out[0].tolist() == [1, 2, 3, 4]
 
     def test_no_fixed_loci_returns_source(self):
         src = np.array([3, 1, 2])
-        out = gene_injection_batch(GeneDomain.permutation(3), src[None, :],
-                                   np.zeros(3, dtype=np.int64), np.array([1, 2, 3]))
+        dom, dc_genes = GeneDomain.permutation(3), np.array([1, 2, 3])
+        out = gene_injection_batch(dom, src[None, :],
+                                   injection_keep(dom, np.zeros(3, dtype=np.int64), dc_genes),
+                                   dc_genes)
         assert out[0].tolist() == src.tolist()
 
     def test_fully_fixed_returns_fixed(self):
-        out = gene_injection_batch(GeneDomain.permutation(3), np.array([[1, 2, 3]]),
-                                   np.ones(3, dtype=np.int64), np.array([2, 1, 3]))
+        dom, dc_genes = GeneDomain.permutation(3), np.array([2, 1, 3])
+        out = gene_injection_batch(dom, np.array([[1, 2, 3]]),
+                                   injection_keep(dom, np.ones(3, dtype=np.int64), dc_genes),
+                                   dc_genes)
         assert out[0].tolist() == [2, 1, 3]
 
 

@@ -264,7 +264,8 @@ class TestElitePass:
         first_locus, last_locus = changed(0, 0), changed(last, -1)
         below_elite = changed(last + 1, 0)
         for step_pop in (pop, pop, first_locus, first_locus, last_locus, below_elite, pop):
-            generation.step(step_pop, problem, np.random.default_rng(0), np.random.default_rng(1))
+            generation.step(step_pop, problem, np.random.default_rng(0),
+                            np.random.default_rng(1).random(3) < generation.weights)
         assert [elite.tolist() for elite in observer.passes] == [
             p.genes[: last + 1].tolist() for p in (pop, first_locus, last_locus, pop)]
 
@@ -275,19 +276,19 @@ class TestElitePass:
         seen = {"mutation": 0, "injection": 0, "candidate": 0}
         directed, injection = gea.solver.directed_mutation_batch, gea.solver.gene_injection_batch
 
-        def checked_directed(domain, genomes, mask, rng):
-            assert mask.dtype == bool
-            assert np.array_equal(mask, observer.fresh_pass()[1])
+        def checked_directed(domain, genomes, free, rng):
+            assert free.dtype == np.intp
+            assert np.array_equal(free, engineering.free_loci(domain, observer.fresh_pass()[1]))
             seen["mutation"] += 1
-            return directed(domain, genomes, mask, rng)
+            return directed(domain, genomes, free, rng)
 
-        def checked_injection(domain, genomes, mask, dc_genes):
+        def checked_injection(domain, genomes, keep, dc_genes):
             dominant, fresh_mask, _ = observer.fresh_pass()
-            assert mask.dtype == bool
-            assert np.array_equal(mask, fresh_mask)
+            assert keep.dtype == bool
+            assert np.array_equal(keep, engineering.injection_keep(domain, fresh_mask, dominant))
             assert np.array_equal(dc_genes, dominant)
             seen["injection"] += 1
-            return injection(domain, genomes, mask, dc_genes)
+            return injection(domain, genomes, keep, dc_genes)
 
         class CandidateChecked:
             """Checks the candidate row, which follows the crossover
@@ -321,6 +322,81 @@ class TestElitePass:
         assert seen == {name: 2 * GENERATIONS if fired[name] else 0 for name in seen}
 
 
+class TestGateSchedule:
+    @pytest.mark.parametrize("variant", ["gea", "ga", "gea3"])
+    def test_schedule_equals_one_random_3_per_generation(self, monkeypatch, variant):
+        seen = []
+        step = _Generation.step
+
+        def recorded(generation, pop, problem, rng, gates):
+            seen.append(gates.tolist())
+            return step(generation, pop, problem, rng, gates)
+
+        monkeypatch.setattr(_Generation, "step", recorded)
+        weights = (0.5, 0.3, 0.9)
+        GeaSolver(variant=variant, pop_size=10, max_iters=300, scenario_weights=weights,
+                  seed=11).fit(OneMax(8))
+        weights = gea.solver._VARIANT_WEIGHTS.get(variant, weights)
+        _, scheduler_rng = split_streams(11)
+        assert seen == [[draw < w for draw, w in zip(scheduler_rng.random(3).tolist(), weights)]
+                        for _ in range(300)]
+
+    def test_schedule_is_a_bool_row_per_generation(self):
+        generation = _Generation(GeaSolver(max_iters=7), None)
+        gates = generation.schedule(split_streams(0)[1])
+        assert gates.dtype == bool and gates.shape == (7, 3)
+        assert _Generation(GeaSolver(max_iters=0), None).schedule(
+            split_streams(0)[1]).shape == (0, 3)
+
+
+class TestDerivedPassArrays:
+    def test_free_loci_and_keep_row_follow_the_elite(self):
+        # scenarios 2 and 3 every generation, no crossover; elites of 3
+        # copies of one route, each with its own swap, so the mask fixes the
+        # loci that no swap touched and changes with the swaps
+        problem = VehicleRouting(generate_instance(7, 3, 2))
+        domain = problem.domain()
+        generation = _Generation(GeaSolver(pop_size=10, crossover_rate=0.0, mutation_rate=0.3,
+                                           elite_fraction=0.3), domain)
+        rng = np.random.default_rng(5)
+
+        def population(swaps):
+            genes = domain.sample_batch(np.random.default_rng(len(swaps)), 10)
+            for row, (i, j) in enumerate(swaps):
+                genes[row] = genes[9]
+                genes[row, [i, j]] = genes[9, [j, i]]
+            # elite rows first: the costs rank the rows in order
+            return Population(genes, np.arange(10.0))
+
+        def fresh(pop):
+            elite = pop.genes[:3]
+            dominant, counts = engineering.dominant_chromosome(
+                engineering.repetition_matrix(elite), elite)
+            mask = engineering.build_mask(counts, generation.threshold)
+            return (engineering.free_loci(domain, mask),
+                    engineering.injection_keep(domain, mask, dominant))
+
+        gates = np.array([False, True, True])
+        last = None
+        for swaps in ([(0, 1), (2, 3), (4, 5)], [(0, 1), (2, 3), (4, 5)],
+                      [(1, 2), (3, 4), (5, 6)], [(0, 6), (1, 5), (2, 4)]):
+            pop = population(swaps)
+            generation.step(pop, problem, rng, gates)
+            free, keep = fresh(pop)
+            # the three loci that no swap touched are fixed
+            assert free.size == domain.length - 3 and keep.sum() == 3
+            assert np.array_equal(generation.free, free)
+            assert np.array_equal(generation.keep, keep)
+            if last is not None and last[0] == swaps:
+                # an unchanged elite keeps the arrays derived from its pass
+                assert generation.free is last[1] and generation.keep is last[2]
+            last = swaps, generation.free, generation.keep
+        # a pass that no mechanism reads yet derives nothing
+        generation.step(population([(0, 2), (1, 3), (4, 6)]), problem, rng,
+                        np.array([True, False, False]))
+        assert generation.free is None and generation.keep is None
+
+
 class TestStep:
     def test_directed_mutants_of_identical_elite_change_nothing(self):
         # fully agreed elite -> all-ones mask -> directed mutation is identity
@@ -329,8 +405,9 @@ class TestStep:
         pop = Population(genes, problem.evaluate_batch(genes))
         solver = GeaSolver(variant="gea2", pop_size=10, crossover_rate=0.0,
                            mutation_rate=0.5, seed=6)
-        out = _Generation(solver, problem.domain()).step(pop, problem, np.random.default_rng(1),
-                                                         np.random.default_rng(2))
+        generation = _Generation(solver, problem.domain())
+        out = generation.step(pop, problem, np.random.default_rng(1),
+                              np.random.default_rng(2).random(3) < generation.weights)
         assert out.best_cost == pop.best_cost
         assert np.array_equal(np.unique(out.genes, axis=0),
                               np.unique(genes, axis=0))
@@ -359,10 +436,10 @@ class ScenarioRecorder:
             self.directed.append(len(self.rows))
             return directed(*args)
 
-        def recorded_injection(domain, genomes, mask, dc_genes):
+        def recorded_injection(domain, genomes, keep, dc_genes):
             # each row's bits spell its rank
             self.recipients.append(genomes @ (1 << np.arange(8)))
-            return injection(domain, genomes, mask, dc_genes)
+            return injection(domain, genomes, keep, dc_genes)
 
         monkeypatch.setattr(gea.solver, "directed_mutation_batch", recorded_directed)
         monkeypatch.setattr(gea.solver, "gene_injection_batch", recorded_injection)
@@ -377,8 +454,8 @@ class ScenarioRecorder:
     def run(self, generations):
         """(generations, 3) bool array: the scenarios each generation fired."""
         rng, scheduler_rng = split_streams(self.generation.seed)
-        for _ in range(generations):
-            self.generation.step(self.pop, self, rng, scheduler_rng)
+        for gates in scheduler_rng.random((generations, 3)) < self.generation.weights:
+            self.generation.step(self.pop, self, rng, gates)
         rows = np.array(self.rows)
         assert set(rows.tolist()) <= {5, 6, 10, 11}
         fired = np.zeros((generations, 3), dtype=bool)
