@@ -98,12 +98,13 @@ def injection_keep(domain: GeneDomain, mask: np.ndarray, dc_genes: np.ndarray) -
 
 def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
-    """Mutate only the `free` loci (`free_loci` of the mask); rows come back
-    unchanged when too few are free."""
+    """Mutate only the `free` loci (`free_loci` of the mask), a strictly
+    increasing row; rows come back unchanged when too few are free."""
     length = genomes.shape[1]
-    if free.ndim != 1 or free.dtype.kind not in "iu" or (
-            free.size and (free.min() < 0 or free.max() >= length)):
-        raise ValueError(f"free loci must be a row of integer loci in 0..{length - 1}")
+    # a repeated locus can swap with itself; one past the end wraps to the next row
+    if free.ndim != 1 or free.dtype.kind not in "iu" or (free.size and (
+            free[0] < 0 or free[-1] >= length or not (free[1:] > free[:-1]).all())):
+        raise ValueError(f"free loci must be a strictly increasing row of loci in 0..{length - 1}")
     return mutate_loci(domain, genomes, free, rng)
 
 

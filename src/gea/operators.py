@@ -5,12 +5,13 @@ genomes use order crossover (OX) and position swaps, both of which preserve
 the every-symbol-exactly-once invariant.
 
 The operators take whole cohorts, one vectorized pass per call. `recombine`
-is the one recombination kernel: crossover keeps each parent's genes before
-the cut or in the OX segment and fills the rest from its partner, and gene
-injection (in `engineering`) keeps the dominant chromosome's masked loci and
-fills the rest from each recipient. `mutate_loci` is the one mutation kernel:
-`mutate_batch` lets it draw from every locus, and directed mutation (in
-`engineering`) only from the loci its pattern mask leaves open.
+is the one recombination kernel, with one path per genome kind: crossover
+keeps each parent's genes before the cut or in the OX segment and fills the
+rest from its partner, and gene injection (in `engineering`) keeps the
+dominant chromosome's masked loci and fills the rest from each recipient.
+`mutate_loci` is the one mutation kernel: `mutate_batch` lets it draw from
+every locus, and directed mutation (in `engineering`) only from the loci its
+pattern mask leaves open.
 """
 
 from __future__ import annotations
@@ -89,38 +90,25 @@ def recombine(domain: GeneDomain, base: np.ndarray, keep: np.ndarray,
 
     Binary genes are fill ^ (base ^ fill) * keep. Permutations take the OX
     fill: a child's open loci hold, in `fill`'s order, the symbols of `fill`
-    that its kept loci (which must be distinct) lack. The symbols still
-    wanted are marked in a bool table over symbols 0..L, read for `fill` with
-    one `take`, and one flat `compress` of `fill` fills the open loci. When
-    `base` and `keep` are both shared rows, as in gene injection, every child
-    wants the same symbols: one (L+1) table serves all rows, and the open
-    loci are filled column-wise. Otherwise the table is one flat n * (L+1)
-    array, row r's symbols at offset r * (L+1). Permutation children take
-    `base`'s dtype.
+    that its kept loci (which must be distinct) lack. `base` and `keep` are
+    broadcast into full arrays, and the symbols each child still wants are
+    marked in one flat n * (L+1) bool table, row r's symbols 0..L at offset
+    r * (L+1). One `take` reads it for `fill`, and one flat `compress` of
+    `fill` fills the open loci. Permutation children take `base`'s dtype.
     """
     if domain.kind is DomainKind.BINARY:
         return fill ^ (base ^ fill) * keep
     n, length = fill.shape
-    if base.shape == fill.shape:
-        child = base.copy()
-    else:
-        # a shared row is broadcast by assignment into a full array, which is
-        # cheaper than `np.broadcast_to`
-        child = np.empty(fill.shape, base.dtype)
-        child[...] = base
-    if base.ndim == keep.ndim == 1:
-        wanted = np.ones(length + 1, dtype=bool)
-        wanted[base[keep]] = False
-        child[:, ~keep] = fill.ravel().compress(wanted.take(fill).ravel()).reshape(n, -1)
-        return child
-    if keep.ndim == 1:
-        keep = np.broadcast_to(keep, fill.shape)
-    offsets = _arange(n * (length + 1), length + 1)[:, None]
+    # a shared row is broadcast by assignment into a full array, which is
+    # cheaper than `np.broadcast_to`
+    child, kept = np.empty(fill.shape, base.dtype), np.empty(fill.shape, bool)
+    child[...], kept[...] = base, keep
+    offsets = _arange(n * (length + 1), length + 1, True)[:, None]
     wanted = np.ones(n * (length + 1), dtype=bool)
-    wanted[(child + offsets)[keep]] = False
+    wanted[(child + offsets)[kept]] = False
     # each row has as many open loci as symbols its kept loci lack, so the
     # row-major compaction lines up row by row
-    child[~keep] = fill.ravel().compress(wanted.take(fill + offsets).ravel())
+    child[~kept] = fill.ravel().compress(wanted.take(fill + offsets).ravel())
     return child
 
 

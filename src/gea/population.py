@@ -121,10 +121,12 @@ def _first_in_cost_order(genes: np.ndarray, order: np.ndarray,
 
 
 def _exact_first_in_cost_order(genes: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """`_first_in_cost_order` by `np.unique` on the rows in cost order, which
-    sorts stably when asked for indices: each genome's index is its first rank."""
+    """`_first_in_cost_order` by `np.unique` on the rows in cost order, each
+    read as one void scalar of its bytes (exact on bool and integer genes).
+    It sorts stably when asked for indices: each genome's index is its first rank."""
+    rows = genes.take(order, axis=0)
     is_first = np.zeros(order.size, dtype=bool)
-    is_first[np.unique(genes.take(order, axis=0), axis=0, return_index=True)[1]] = True
+    is_first[np.unique(rows.view((np.void, rows.strides[0])).ravel(), return_index=True)[1]] = True
     return is_first
 
 

@@ -57,6 +57,8 @@ _PARAM_NAMES = ("variant", "pop_size", "max_iters", "crossover_rate", "mutation_
 # scenario firing probabilities of the fixed variants; gea takes its own
 _VARIANT_WEIGHTS = {"ga": (0.0, 0.0, 0.0), "gea1": (1.0, 0.0, 0.0),
                     "gea2": (0.0, 1.0, 0.0), "gea3": (0.0, 0.0, 1.0)}
+# generations per draw of the gate schedule: a 96 KB float64 block
+_SCHEDULE_BLOCK = 4096
 
 
 def _product(fraction: float, count: int) -> float:
@@ -160,9 +162,13 @@ class _Generation:
     def schedule(self, scheduler_rng: np.random.Generator) -> np.ndarray:
         """The fit's scenario gates, a (max_iters, 3) bool array: row i holds
         generation i's three independent gates, scenario j firing when its
-        draw falls below weight j. One call draws what a `random(3)` per
-        generation would, in the same order."""
-        return scheduler_rng.random((self.max_iters, 3)) < self.weights
+        draw falls below weight j. The draws are those of a `random(3)` per
+        generation, in the same order, made `_SCHEDULE_BLOCK` rows at a time."""
+        gates = np.empty((self.max_iters, 3), dtype=bool)
+        for start in range(0, self.max_iters, _SCHEDULE_BLOCK):
+            block = gates[start:start + _SCHEDULE_BLOCK]
+            np.less(scheduler_rng.random(block.shape), self.weights, out=block)
+        return gates
 
     def step(self, pop: Population, problem, rng: np.random.Generator,
              gates: np.ndarray) -> Population:

@@ -186,6 +186,15 @@ class TestDirectedMutation:
             directed_mutation_batch(GeneDomain.binary(3), np.zeros((2, 3), dtype=np.uint8), free,
                                     np.random.default_rng(0))
 
+    @pytest.mark.parametrize("free", [np.array([2, 2, 3]), np.array([3, 0]),
+                                      np.array([0, 1, 1])], ids=["repeat", "descent", "last"])
+    def test_free_loci_out_of_order_rejected(self, free):
+        # a repeated locus can be drawn twice for one swap, which returned
+        # the row unchanged: free loci are the ascending row free_loci gives
+        with pytest.raises(ValueError, match=r"free loci must be a strictly increasing row"):
+            directed_mutation_batch(GeneDomain.permutation(4), np.tile([1, 2, 3, 4], (2, 1)),
+                                    free, np.random.default_rng(0))
+
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_all_zero_mask_matches_mutate_batch(self, kind):
         # one mutation kernel: an open mask leaves every locus to draw from

@@ -191,24 +191,25 @@ class TestRecombineSharedRow:
     @pytest.mark.parametrize("domain", [GeneDomain.permutation(7, separators=2),
                                         GeneDomain.permutation(290, separators=10)],
                              ids=lambda d: f"L{d.length}-{np.dtype(d.dtype).name}")
-    def test_shared_table_equals_per_row_tables(self, domain):
+    def test_shared_rows_equal_the_rows_tiled(self, domain):
         # a shared base and keep row, as gene injection passes them: a base
         # with repeated symbols, as a near-converged elite's dominant
-        # chromosome holds, kept only at each symbol's first masked locus
+        # chromosome holds, kept only at each symbol's first masked locus;
+        # one child, as the dominant candidate asks, and a random cohort
         rng = np.random.default_rng(domain.length)
         for density in (0.0, 0.3, 0.7, 1.0):
-            n = int(rng.integers(1, 20))
-            fill = domain.sample_batch(rng, n)
-            base = rng.choice(domain.alphabet, size=domain.length).astype(domain.dtype)
-            base[-1] = base[0]
-            masked = (rng.random(domain.length) < density).nonzero()[0]
-            keep = np.zeros(domain.length, dtype=bool)
-            keep[masked[np.unique(base[masked], return_index=True)[1]]] = True
-            shared = recombine(domain, base, keep, fill)
-            per_row = recombine(domain, np.tile(base, (n, 1)), np.tile(keep, (n, 1)), fill)
-            assert shared.dtype == per_row.dtype == domain.dtype
-            assert np.array_equal(shared, per_row)
-            assert np.array_equal(np.sort(shared, axis=1), np.sort(fill, axis=1))
+            for n in (1, int(rng.integers(2, 20))):
+                fill = domain.sample_batch(rng, n)
+                base = rng.choice(domain.alphabet, size=domain.length).astype(domain.dtype)
+                base[-1] = base[0]
+                masked = (rng.random(domain.length) < density).nonzero()[0]
+                keep = np.zeros(domain.length, dtype=bool)
+                keep[masked[np.unique(base[masked], return_index=True)[1]]] = True
+                shared = recombine(domain, base, keep, fill)
+                tiled = recombine(domain, np.tile(base, (n, 1)), np.tile(keep, (n, 1)), fill)
+                assert shared.dtype == tiled.dtype == domain.dtype
+                assert np.array_equal(shared, tiled)
+                assert np.array_equal(np.sort(shared, axis=1), np.sort(fill, axis=1))
 
 
 class TestRecombineOxOracle:

@@ -9,7 +9,7 @@ from gea.problems import (Knapsack, OneMax, VehicleRouting, generate_instance,
                           generate_knapsack_instance, standard_suite)
 from gea.solver import GeaSolver
 
-REFERENCE_CASES = ["binary-1", "binary-7", "binary-9", "binary-250", "permutation",
+REFERENCE_CASES = ["binary-1", "binary-7", "binary-9", "binary-250", "bool-9", "permutation",
                    "differ-by-256", "above-65535", "negative"]
 
 
@@ -72,6 +72,8 @@ def check_reference_cases(case):
     for trial in range(60):
         if case.startswith("binary"):
             draw = GeneDomain.binary(int(case.split("-")[1])).sample_batch
+        elif case.startswith("bool"):
+            draw = lambda r, n: r.random((n, int(case.split("-")[1]))) < 0.5
         elif case == "permutation":
             draw = GeneDomain.permutation(6 + trial % 25, 1 + trial % 4).sample_batch
         else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,28 @@ class TestGateSchedule:
         _, scheduler_rng = split_streams(11)
         assert seen == [[draw < w for draw, w in zip(scheduler_rng.random(3).tolist(), weights)]
                         for _ in range(300)]
+
+    def test_blocks_draw_what_one_draw_would(self):
+        # a schedule longer than two blocks, ending in a partial one
+        max_iters = 2 * gea.solver._SCHEDULE_BLOCK + 3
+        generation = _Generation(GeaSolver(max_iters=max_iters), None)
+        gates = generation.schedule(split_streams(4)[1])
+        expected = split_streams(4)[1].random((max_iters, 3)) < generation.weights
+        assert np.array_equal(gates, expected)
+
+    def test_schedule_memory_is_linear_in_its_bools(self):
+        # 10^6 generations: 3 MB of gates and one 96 KB block of draws at a
+        # time. One float64 draw of the whole schedule held 24 MB more
+        generation = _Generation(GeaSolver(max_iters=10**6), None)
+        rng = split_streams(0)[1]
+        tracemalloc.start()
+        try:
+            gates = generation.schedule(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gates.shape == (10**6, 3)
+        assert peak < gates.nbytes + 2**20
 
     def test_schedule_is_a_bool_row_per_generation(self):
         generation = _Generation(GeaSolver(max_iters=7), None)
