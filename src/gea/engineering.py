@@ -4,17 +4,14 @@ One elite pass of plain functions over arrays, with no result classes:
 `repetition_matrix` gives the (M, L) per-entry repeat counts,
 `dominant_chromosome` the most repeated symbol per locus (first occurrence
 winning ties) with its count, and `build_mask` a bool mask, True where that
-count exceeds the threshold (a fixed locus). Three mechanisms consume the
-pass. Each reads the mask in one derived form, which is fixed until the
-elite changes, so a fit derives it once per pass; a nonzero entry fixes its
-locus:
+count exceeds the threshold (a fixed locus). Three mechanisms take the
+pass as it is, the dominant genes and the mask:
 
-* directed mutation: mutation confined to `free_loci`, the loci the mask
-  leaves open;
+* directed mutation: mutation confined to the loci the mask leaves open;
 * gene injection: `operators.recombine` of each poor member with the
-  dominant chromosome, which keeps the dominant symbols at the loci of
-  `injection_keep` (the masked loci; on permutations, only each symbol's
-  first) and the member's genes elsewhere;
+  dominant chromosome, which keeps the dominant symbols at the masked loci
+  (on permutations, only each symbol's first) and the member's genes
+  elsewhere;
 * the dominant candidate (scenario 1): gene injection with every locus
   masked, so the dominant genes as they are when binary.
 """
@@ -67,57 +64,34 @@ def build_mask(repeat_counts: np.ndarray, threshold: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the pass read by the mechanisms, derived once per pass
-
-def free_loci(domain: GeneDomain, mask: np.ndarray) -> np.ndarray:
-    """The ascending loci the mask leaves open, which directed mutation
-    draws from; a nonzero mask entry fixes its locus."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (domain.length,):
-        raise ValueError("mask length must equal genome length")
-    return (~mask).nonzero()[0]
-
-
-def injection_keep(domain: GeneDomain, mask: np.ndarray, dc_genes: np.ndarray) -> np.ndarray:
-    """Bool row of the loci whose dominant gene gene injection keeps: the
-    masked loci (a nonzero entry), and on permutations, which hold each
-    symbol once, only the first masked locus of each dominant symbol."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (domain.length,) or dc_genes.shape != (domain.length,):
-        raise ValueError("mask and dominant chromosome must match the genome length")
-    if domain.kind is DomainKind.BINARY:
-        return mask
-    masked = mask.nonzero()[0]
-    keep = np.zeros_like(mask)
-    keep[masked[np.unique(dc_genes[masked], return_index=True)[1]]] = True
-    return keep
-
-
-# ---------------------------------------------------------------------------
 # directed mutation (scenario 2)
 
-def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, free: np.ndarray,
+def directed_mutation_batch(domain: GeneDomain, genomes: np.ndarray, mask: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
-    """Mutate only the `free` loci (`free_loci` of the mask), a strictly
-    increasing row; rows come back unchanged when too few are free."""
-    length = genomes.shape[1]
-    # a repeated locus can swap with itself; one past the end wraps to the next row
-    if free.ndim != 1 or free.dtype.kind not in "iu" or (free.size and (
-            free[0] < 0 or free[-1] >= length or not (free[1:] > free[:-1]).all())):
-        raise ValueError(f"free loci must be a strictly increasing row of loci in 0..{length - 1}")
-    return mutate_loci(domain, genomes, free, rng)
+    """Mutate only the loci the bool `mask` leaves open; rows come back
+    unchanged when too few are open."""
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != genomes.shape[1:]:
+        raise ValueError("mask must be a bool row of the genome length")
+    return mutate_loci(domain, genomes, (~mask).nonzero()[0], rng)
 
 
 # ---------------------------------------------------------------------------
 # gene injection (scenario 3)
 
-def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, keep: np.ndarray,
+def gene_injection_batch(domain: GeneDomain, genomes: np.ndarray, mask: np.ndarray,
                          dc_genes: np.ndarray) -> np.ndarray:
     """Each recipient recombined with the dominant chromosome: dominant
-    symbols at the `keep` loci (`injection_keep` of the mask), the
-    recipient's genes elsewhere."""
-    if keep.dtype != bool or keep.shape != genomes.shape[1:] or dc_genes.shape != keep.shape:
-        raise ValueError("keep row (bool) and dominant chromosome must match the genome length")
+    symbols at the loci the bool `mask` fixes, the recipient's genes
+    elsewhere. Permutations hold each symbol once, so there each dominant
+    symbol is kept at its first masked locus only."""
+    if (not isinstance(mask, np.ndarray) or mask.dtype != bool
+            or mask.shape != genomes.shape[1:] or dc_genes.shape != mask.shape):
+        raise ValueError("mask (bool) and dominant chromosome must match the genome length")
+    keep = mask
+    if domain.kind is DomainKind.PERMUTATION:
+        masked = mask.nonzero()[0]
+        keep = np.zeros_like(mask)
+        keep[masked[np.unique(dc_genes[masked], return_index=True)[1]]] = True
     return recombine(domain, dc_genes, keep, genomes)
 
 
@@ -129,5 +103,5 @@ def dominant_candidate(domain: GeneDomain, dc_genes: np.ndarray,
     """Dominant genes as a full genome, a fresh array: gene injection into
     `template` with every locus masked, which on permutations keeps each
     dominant symbol's first locus and fills the rest in `template`'s order."""
-    keep = injection_keep(domain, np.ones(dc_genes.shape, dtype=bool), dc_genes)
-    return gene_injection_batch(domain, template[None, :], keep, dc_genes)[0]
+    return gene_injection_batch(domain, template[None, :], np.ones(dc_genes.shape, dtype=bool),
+                                dc_genes)[0]

@@ -1,9 +1,9 @@
 """Genome domains: fixed-length vectors of discrete gene symbols.
 
 Two encodings are supported. Binary genomes hold independent 0/1 genes.
-Permutation genomes encode routing-style solutions: symbols 1..n_items must
-each appear exactly once, and any extra symbols n_items+1..length act as
-route separators that are permuted along with the items.
+Permutation genomes encode routing-style solutions: symbols 1..length each
+appear exactly once, the items first and then any route separators, which
+are permuted along with the items.
 
 A genome is a row of an (n, L) gene matrix, the only genome representation.
 Every matrix of a domain is stored in its `GeneDomain.dtype`, the narrowest
@@ -50,19 +50,11 @@ class DomainKind(Enum):
 class GeneDomain:
     kind: DomainKind
     length: int
-    n_items: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DomainKind):
             raise ValueError(f"kind must be a DomainKind, got {self.kind!r}")
-        _check_int("n_items", self.n_items, 0)
         _check_int("length", self.length, 1)
-        if self.kind is DomainKind.PERMUTATION:
-            if not 1 <= self.n_items <= self.length:
-                raise ValueError(
-                    f"permutation domain needs 1 <= n_items <= length, "
-                    f"got n_items={self.n_items}, length={self.length}"
-                )
 
     @classmethod
     def binary(cls, length: int) -> "GeneDomain":
@@ -70,7 +62,8 @@ class GeneDomain:
 
     @classmethod
     def permutation(cls, n_items: int, separators: int = 0) -> "GeneDomain":
-        return cls(DomainKind.PERMUTATION, n_items + separators, n_items)
+        return cls(DomainKind.PERMUTATION,
+                   _check_int("n_items", n_items, 1) + _check_int("separators", separators, 0))
 
     @property
     def alphabet(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .genome import _check_int
+from .problems.base import _check_name
 from .rng import derive_run_seed
 from .solver import VARIANT_IDS, VARIANTS, GeaSolver, _check_variant, _problem_domain
 
@@ -181,9 +182,10 @@ def full_benchmark(problems: Sequence, variants: Sequence[str] = VARIANTS,
     if not problems or not variants:
         raise ValueError("need at least one problem and one variant")
     # every problem and variant is checked before the first fit, not when its
-    # batch comes up
+    # batch comes up; a name is a report file's stem and a CSV field
     for problem in problems:
         _problem_domain(problem)
+        _check_name(problem.name)
     for variant in variants:
         _check_variant(variant)
     # a report cell is keyed by (variant, instance name), so both must be unique

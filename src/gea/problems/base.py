@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -40,3 +41,14 @@ def _check_instance(instance, kind: type):
     if not isinstance(instance, kind):
         raise ValueError(f"instance must be a {kind.__name__}, got {type(instance).__name__}")
     return instance
+
+
+def _check_name(name) -> str:
+    """`name` when it can name an instance: it is a report file's stem and a
+    field of the CSV reports and of an instance file's NAME record, so it is
+    non-empty, holds no whitespace, ',', '"', '/' or '\\', and is not '.' or
+    '..'. Otherwise a ValueError that names it."""
+    if not isinstance(name, str) or name in ("", ".", "..") or re.search(r'[\s,"/\\]', name):
+        raise ValueError(f"instance name must be non-empty, with no whitespace, ',', "
+                         f"'\"', '/' or '\\', and not '.' or '..': got {name!r}")
+    return name

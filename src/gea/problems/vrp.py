@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..genome import GeneDomain, Genome, _check_int
-from .base import Problem, _check_instance
+from .base import Problem, _check_instance, _check_name
 
 # the Held-Karp table is 2^n x n float64: 3.9 MB at 15 customers
 DP_MAX_CUSTOMERS = 15
@@ -47,6 +47,7 @@ class VrpInstance:
     customers: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        _check_name(self.name)
         if not self.customers:
             raise ValueError("instance needs at least one customer")
         _check_int("n_vehicles", self.n_vehicles, 1)

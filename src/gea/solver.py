@@ -21,10 +21,9 @@ When any mechanism fires, the elite statistics (dominant chromosome and
 pattern mask) are read from the population before the offspring and shared
 by all three mechanisms. They are computed in one pass per distinct elite: a
 fit keeps the last pass and reuses it while the elite rows are unchanged,
-with what the mechanisms derive from it, each made the first time one asks:
-the repaired dominant candidate (scenario 1), the free loci of directed
-mutation and the keep row of gene injection. The pass draws no random
-numbers, so reusing it leaves every fit as it was.
+with the repaired dominant candidate (scenario 1), made the first time it is
+asked for. The pass draws no random numbers, so reusing it leaves every fit
+as it was.
 
 Every variant draws its gates from a dedicated scheduler stream, separate from
 the operator stream, all at once when the fit starts: a (max_iters, 3) bool
@@ -40,8 +39,7 @@ import math
 import numpy as np
 
 from .engineering import (build_mask, dominant_candidate, dominant_chromosome,
-                          directed_mutation_batch, free_loci, gene_injection_batch,
-                          injection_keep, repetition_matrix)
+                          directed_mutation_batch, gene_injection_batch, repetition_matrix)
 from .genome import GeneDomain, _check_int, _is_finite, _is_number
 from .operators import crossover_batch, mutate_batch
 from .population import (Population, _checked_costs, init_population, rank_weight_cumsum,
@@ -153,11 +151,9 @@ class _Generation:
         # each variant's firing probabilities, compared with the draws as float64
         self.weights = _VARIANT_WEIGHTS.get(variant, weights)
         # the last elite pass and the bytes of the elite rows it was computed
-        # from. What the mechanisms read of it is derived once, on the first
-        # generation after the pass that needs it: the candidate, the free
-        # loci of directed mutation and the keep row of gene injection
-        self.elite_bytes = self.dominant = self.mask = None
-        self.candidate = self.free = self.keep = None
+        # from, and the candidate row, made on the first generation after the
+        # pass that adds it
+        self.elite_bytes = self.dominant = self.mask = self.candidate = None
 
     def schedule(self, scheduler_rng: np.random.Generator) -> np.ndarray:
         """The fit's scenario gates, a (max_iters, 3) bool array: row i holds
@@ -186,7 +182,7 @@ class _Generation:
                 self.dominant, repeat_counts = dominant_chromosome(repetition_matrix(elite),
                                                                    elite)
                 self.mask = build_mask(repeat_counts, self.threshold)
-                self.candidate = self.free = self.keep = None
+                self.candidate = None
 
         parts: list[np.ndarray] = []
         if self.n_cross > 0:
@@ -199,9 +195,7 @@ class _Generation:
             source_idx = roulette_indices(self.cumulative, self.n_mut, rng)
             sources = pop.genes[source_idx]
             if run2:
-                if self.free is None:
-                    self.free = free_loci(self.domain, self.mask)
-                parts.append(directed_mutation_batch(self.domain, sources, self.free, rng))
+                parts.append(directed_mutation_batch(self.domain, sources, self.mask, rng))
             else:
                 parts.append(mutate_batch(self.domain, sources, rng))
 
@@ -217,10 +211,8 @@ class _Generation:
             if n_inject > 0:
                 offsets = rng.choice(pool, size=n_inject, replace=False)
                 recipients = pop.genes[self.elite_size + offsets]
-                if self.keep is None:
-                    self.keep = injection_keep(self.domain, self.mask, self.dominant)
                 parts.append(gene_injection_batch(self.domain, recipients,
-                                                  self.keep, self.dominant))
+                                                  self.mask, self.dominant))
 
         if not parts:
             return pop

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gea
-from gea import (DomainKind, GeaSolver, GeneDomain, Knapsack, KnapsackInstance, OneMax,
+from gea import (GeaSolver, GeneDomain, Knapsack, KnapsackInstance, OneMax,
                  VehicleRouting, VrpInstance, generate_instance, generate_knapsack_instance,
                  knapsack_dp_optimum, run_batch, standard_suite, vrp_dp_optimum)
 
@@ -54,8 +54,8 @@ def fit(**settings):
     return GeaSolver(max_iters=1, **settings).fit(OneMax(4))
 
 
-def vrp(n_vehicles=1, depot=(0.0, 0.0), customers=((1.0, 1.0), (2.0, 2.0))):
-    return VrpInstance("x", n_vehicles, depot, customers)
+def vrp(n_vehicles=1, depot=(0.0, 0.0), customers=((1.0, 1.0), (2.0, 2.0)), name="x"):
+    return VrpInstance(name, n_vehicles, depot, customers)
 
 
 # (call with one bad value, pattern its ValueError must match). The rows of
@@ -99,10 +99,27 @@ MISUSE = {
     "GeneDomain-length-str": (lambda: GeneDomain.binary("3"), "length must be an integer"),
     "GeneDomain-n_items-float": (lambda: GeneDomain.permutation(2.5),
                                  "n_items must be an integer"),
-    "GeneDomain-n_items-bool": (lambda: GeneDomain(DomainKind.PERMUTATION, 2, True),
+    "GeneDomain-n_items-bool": (lambda: GeneDomain.permutation(True),
                                 "n_items must be an integer"),
+    "GeneDomain-n_items-zero": (lambda: GeneDomain.permutation(0, 2), "n_items must be >= 1"),
+    "GeneDomain-separators-float": (lambda: GeneDomain.permutation(3, 2.5),
+                                    "separators must be an integer"),
+    "GeneDomain-separators-negative": (lambda: GeneDomain.permutation(3, -1),
+                                       "separators must be >= 0"),
     "OneMax-length-float": (lambda: OneMax(2.5), "length must be an integer"),
     "OneMax-length-zero": (lambda: OneMax(0), "length must be >= 1"),
+    "VrpInstance-name-parent-path": (lambda: vrp(name="../escaped"),
+                                     "instance name must be .* got '../escaped'"),
+    "VrpInstance-name-comma": (lambda: vrp(name="a,b"), "instance name must be .* got 'a,b'"),
+    "VrpInstance-name-quote": (lambda: vrp(name='a"b'), "instance name must be .* got 'a\"b'"),
+    "VrpInstance-name-backslash": (lambda: vrp(name="a\\b"),
+                                   r"instance name must be .* got 'a\\\\b'"),
+    "VrpInstance-name-empty": (lambda: vrp(name=""), "instance name must be .* got ''"),
+    "VrpInstance-name-dot": (lambda: vrp(name="."), r"instance name must be .* got '\.'"),
+    "VrpInstance-name-dotdot": (lambda: vrp(name=".."), r"instance name must be .* got '\.\.'"),
+    "VrpInstance-name-none": (lambda: vrp(name=None), "instance name must be .* got None"),
+    "generate_instance-name-space": (lambda: generate_instance(5, 2, 1, name="my inst"),
+                                     "instance name must be .* got 'my inst'"),
     "VrpInstance-n_vehicles-float": (lambda: vrp(2.5), "n_vehicles must be an integer"),
     "VrpInstance-n_vehicles-bool": (lambda: vrp(True), "n_vehicles must be an integer"),
     "VrpInstance-n_vehicles-zero": (lambda: vrp(0), "n_vehicles must be >= 1"),

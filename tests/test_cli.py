@@ -187,6 +187,19 @@ class TestBench:
         assert "duplicate instance names: same" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "a,b"], ids=["parent-path", "comma"])
+    def test_file_with_a_bad_name_exits_1(self, tmp_path, capsys, name):
+        # the name is a report file's stem and a CSV field: '../escaped'
+        # wrote out/escaped.svg beside --out, and 'a,b' a 7-field CSV row
+        text = format_instance(generate_instance(5, 2, 1)).splitlines()
+        path = tmp_path / "inst.txt"
+        path.write_text("\n".join([f"NAME {name}", *text[1:]]) + "\n", encoding="utf-8")
+        out = tmp_path / "out" / "r"
+        assert main(["bench", "--variants", "ga", "--instances", str(path),
+                     "--runs", "1", "--iters", "2", "--pop", "6", "--out", str(out)]) == 1
+        assert "instance name must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_format_rejected(self, capsys):
         assert main(["bench", "--formats", "pdf"]) == 1
         assert "pdf" in capsys.readouterr().err

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gea.engineering import (build_mask, directed_mutation_batch, dominant_candidate,
-                             dominant_chromosome, free_loci, gene_injection_batch,
-                             injection_keep, repetition_matrix)
+                             dominant_chromosome, gene_injection_batch, repetition_matrix)
 from gea.genome import GeneDomain
-from gea.operators import mutate_batch
+from gea.operators import mutate_batch, recombine
 
 
 def dominant_of(elite):
@@ -146,14 +145,13 @@ class TestDirectedMutation:
         dom = GeneDomain.binary(4)
         rng = scripted_rng([0])  # first free locus, i.e. locus 1
         out = directed_mutation_batch(dom, np.array([[1, 0, 1, 1]]),
-                                      free_loci(dom, np.array([1, 0, 0, 1])), rng)
+                                      np.array([True, False, False, True]), rng)
         assert out.tolist() == [[1, 1, 1, 1]]
 
     def test_all_ones_mask_is_identity(self):
         dom = GeneDomain.binary(3)
         g = np.array([[1, 0, 1]])
-        out = directed_mutation_batch(dom, g, free_loci(dom, np.array([1, 1, 1])),
-                                      np.random.default_rng(0))
+        out = directed_mutation_batch(dom, g, np.ones(3, dtype=bool), np.random.default_rng(0))
         assert out.tolist() == g.tolist()
 
     def test_permutation_forced_swap(self, scripted_rng):
@@ -161,47 +159,28 @@ class TestDirectedMutation:
         # free loci are 0 and 3; the second draw skips the first, so both swap
         rng = scripted_rng([0], [0])
         out = directed_mutation_batch(dom, np.array([[3, 1, 2, 4]]),
-                                      free_loci(dom, np.array([0, 1, 1, 0])), rng)
+                                      np.array([False, True, True, False]), rng)
         assert out.tolist() == [[4, 1, 2, 3]]
 
     def test_permutation_single_free_locus_is_identity(self):
         dom = GeneDomain.permutation(3)
         g = np.array([[2, 3, 1]])
-        out = directed_mutation_batch(dom, g, free_loci(dom, np.array([1, 0, 1])),
+        out = directed_mutation_batch(dom, g, np.array([True, False, True]),
                                       np.random.default_rng(0))
         assert out.tolist() == g.tolist()
 
     def test_mask_length_must_match(self):
         dom = GeneDomain.binary(3)
-        with pytest.raises(ValueError, match="mask length"):
-            directed_mutation_batch(dom, np.array([[0, 1, 0]]), free_loci(dom, np.array([1, 0])),
+        with pytest.raises(ValueError, match="mask must be a bool row of the genome length"):
+            directed_mutation_batch(dom, np.array([[0, 1, 0]]), np.array([True, False]),
                                     np.random.default_rng(0))
-
-    @pytest.mark.parametrize("free", [np.array([0, 3]), np.array([-1, 1]), np.array([[0, 1]]),
-                                      np.array([True, False, True]), np.array([0.0, 1.0])],
-                             ids=["past_end", "negative", "2d", "bool", "float"])
-    def test_free_loci_outside_the_genome_rejected(self, free):
-        # a locus past the end would wrap into the next row's flat positions
-        with pytest.raises(ValueError, match=r"free loci .* 0\.\.2"):
-            directed_mutation_batch(GeneDomain.binary(3), np.zeros((2, 3), dtype=np.uint8), free,
-                                    np.random.default_rng(0))
-
-    @pytest.mark.parametrize("free", [np.array([2, 2, 3]), np.array([3, 0]),
-                                      np.array([0, 1, 1])], ids=["repeat", "descent", "last"])
-    def test_free_loci_out_of_order_rejected(self, free):
-        # a repeated locus can be drawn twice for one swap, which returned
-        # the row unchanged: free loci are the ascending row free_loci gives
-        with pytest.raises(ValueError, match=r"free loci must be a strictly increasing row"):
-            directed_mutation_batch(GeneDomain.permutation(4), np.tile([1, 2, 3, 4], (2, 1)),
-                                    free, np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_all_zero_mask_matches_mutate_batch(self, kind):
         # one mutation kernel: an open mask leaves every locus to draw from
         dom = GeneDomain.binary(8) if kind == "binary" else GeneDomain.permutation(6, 2)
         genomes = dom.sample_batch(np.random.default_rng(4), 200)
-        directed = directed_mutation_batch(dom, genomes,
-                                           free_loci(dom, np.zeros(dom.length, dtype=np.int64)),
+        directed = directed_mutation_batch(dom, genomes, np.zeros(dom.length, dtype=bool),
                                            np.random.default_rng(8))
         assert np.array_equal(directed, mutate_batch(dom, genomes, np.random.default_rng(8)))
         assert (directed != genomes).any()
@@ -211,10 +190,9 @@ class TestDirectedMutation:
         rng = np.random.default_rng(31)
         dom = GeneDomain.binary(8) if kind == "binary" else GeneDomain.permutation(6, 2)
         for _ in range(100):
-            mask_bits = rng.integers(0, 2, size=dom.length)
+            fixed = rng.integers(0, 2, size=dom.length) == 1
             genomes = dom.sample_batch(rng, 100)
-            out = directed_mutation_batch(dom, genomes, free_loci(dom, mask_bits), rng)
-            fixed = mask_bits == 1
+            out = directed_mutation_batch(dom, genomes, fixed, rng)
             assert np.array_equal(out[:, fixed], genomes[:, fixed])
             if kind == "permutation":
                 assert np.array_equal(np.sort(out, axis=1), np.sort(genomes, axis=1))
@@ -225,15 +203,14 @@ class TestGeneInjection:
         dom = GeneDomain.binary(4)
         dc_genes = np.array([1, 1, 0, 1])
         out = gene_injection_batch(dom, np.array([[0, 0, 0, 0]]),
-                                   injection_keep(dom, np.array([1, 0, 0, 1]), dc_genes), dc_genes)
+                                   np.array([True, False, False, True]), dc_genes)
         assert out.tolist() == [[1, 0, 0, 1]]
 
     def test_zero_mask_is_identity(self):
         dom = GeneDomain.binary(3)
         g = np.array([[0, 1, 0]])
         dc_genes = np.array([1, 1, 1])
-        out = gene_injection_batch(dom, g, injection_keep(dom, np.array([0, 0, 0]), dc_genes),
-                                   dc_genes)
+        out = gene_injection_batch(dom, g, np.zeros(3, dtype=bool), dc_genes)
         assert out.tolist() == g.tolist()
 
     def test_permutation_repair_example(self):
@@ -241,7 +218,7 @@ class TestGeneInjection:
         # locus 0 takes dominant symbol 1; 2, 3, 4 refill the rest in row order
         dc_genes = np.array([1, 3, 2, 4])
         out = gene_injection_batch(dom, np.array([[2, 3, 1, 4]]),
-                                   injection_keep(dom, np.array([1, 0, 0, 0]), dc_genes), dc_genes)
+                                   np.array([True, False, False, False]), dc_genes)
         assert out.tolist() == [[1, 2, 3, 4]]
 
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
@@ -250,19 +227,9 @@ class TestGeneInjection:
         genomes = dom.sample_batch(np.random.default_rng(0), 2)
         dc_genes = dom.sample_batch(np.random.default_rng(1), 1)[0]
         with pytest.raises(ValueError, match="genome length"):
-            gene_injection_batch(dom, genomes, injection_keep(dom, np.array([1, 0]), dc_genes),
-                                 dc_genes)
+            gene_injection_batch(dom, genomes, np.array([True, False]), dc_genes)
         with pytest.raises(ValueError, match="genome length"):
-            gene_injection_batch(dom, genomes,
-                                 injection_keep(dom, np.ones(4, dtype=np.int64), dc_genes[:3]),
-                                 dc_genes[:3])
-
-    def test_keep_row_must_be_bool(self):
-        # a 0/1 integer row is a mask, not a keep row: `injection_keep` reads it
-        dom = GeneDomain.binary(4)
-        with pytest.raises(ValueError, match="keep row"):
-            gene_injection_batch(dom, np.zeros((1, 4), dtype=np.uint8), np.array([1, 0, 0, 1]),
-                                 np.ones(4, dtype=np.uint8))
+            gene_injection_batch(dom, genomes, np.ones(4, dtype=bool), dc_genes[:3])
 
     def test_injection_postconditions_randomized(self):
         rng = np.random.default_rng(77)
@@ -272,15 +239,14 @@ class TestGeneInjection:
             bits = rng.integers(0, 2, size=9)
             dc_genes = rng.integers(0, 2, size=9)
             genomes = bin_dom.sample_batch(rng, 100)
-            out = gene_injection_batch(bin_dom, genomes, injection_keep(bin_dom, bits, dc_genes),
-                                       dc_genes)
+            out = gene_injection_batch(bin_dom, genomes, bits == 1, dc_genes)
             expected = np.where(bits[None, :] == 1, dc_genes[None, :], genomes)
             assert np.array_equal(out, expected)
 
             pbits = rng.integers(0, 2, size=perm_dom.length)
             pdc = perm_dom.sample_batch(rng, 1)[0]
             perms = perm_dom.sample_batch(rng, 100)
-            pout = gene_injection_batch(perm_dom, perms, injection_keep(perm_dom, pbits, pdc), pdc)
+            pout = gene_injection_batch(perm_dom, perms, pbits == 1, pdc)
             assert np.array_equal(np.sort(pout, axis=1),
                                   np.tile(perm_dom.alphabet, (100, 1)))
             masked = pbits == 1
@@ -305,6 +271,15 @@ def symbol_table_repair(mask, dc_genes, genomes):
     return out
 
 
+def injection_keep(mask, dc_genes):
+    """The keep row that permutation injection derives from the mask: the
+    first masked locus of each dominant symbol."""
+    masked = mask.nonzero()[0]
+    keep = np.zeros_like(mask)
+    keep[masked[np.unique(dc_genes[masked], return_index=True)[1]]] = True
+    return keep
+
+
 class TestPermutationInjectionOracle:
     @pytest.mark.parametrize("domain", [GeneDomain.permutation(7, separators=2),
                                         GeneDomain.permutation(290, separators=10)],
@@ -320,31 +295,29 @@ class TestPermutationInjectionOracle:
             masked = np.flatnonzero(mask)
             if masked.size >= 2:
                 dc_genes[masked[-1]] = dc_genes[masked[0]]
-            out = gene_injection_batch(domain, genomes, injection_keep(domain, mask, dc_genes),
-                                       dc_genes)
+            out = gene_injection_batch(domain, genomes, mask, dc_genes)
             assert out.dtype == domain.dtype
             assert out.tolist() == symbol_table_repair(mask, dc_genes, genomes)
+            assert np.array_equal(out, recombine(domain, dc_genes,
+                                                 injection_keep(mask, dc_genes), genomes))
             assert np.array_equal(np.sort(out, axis=1), np.sort(genomes, axis=1))
 
 
 class TestMaskReading:
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
-    def test_nonzero_entry_is_fixed_in_both_kernels(self, kind):
-        # both kernels read the mask as bool, so an entry of 2 fixes its locus
-        # exactly as True does
-        dom = GeneDomain.binary(6) if kind == "binary" else GeneDomain.permutation(6)
-        genomes = dom.sample_batch(np.random.default_rng(5), 50)
+    def test_non_bool_or_misshapen_mask_refused_in_both_kernels(self, kind):
+        # both kernels take the pass's bool mask as it is: a 0/1 integer or
+        # float row, a row of another length or a 2-D mask is refused
+        dom = GeneDomain.binary(4) if kind == "binary" else GeneDomain.permutation(4)
+        genomes = dom.sample_batch(np.random.default_rng(5), 3)
         dc_genes = dom.sample_batch(np.random.default_rng(6), 1)[0]
-        twos = np.array([2, 0, 0, 2, 0, 0])
-        fixed = twos != 0
-        assert np.array_equal(
-            directed_mutation_batch(dom, genomes, free_loci(dom, twos), np.random.default_rng(7)),
-            directed_mutation_batch(dom, genomes, free_loci(dom, fixed), np.random.default_rng(7)))
-        injected = gene_injection_batch(dom, genomes, injection_keep(dom, twos, dc_genes),
-                                        dc_genes)
-        assert np.array_equal(injected, gene_injection_batch(
-            dom, genomes, injection_keep(dom, fixed, dc_genes), dc_genes))
-        assert (injected[:, fixed] == dc_genes[fixed]).all()
+        for mask in (np.array([1, 0, 0, 1]), np.array([2, 0, 0, 2]), np.array([1.0, 0, 0, 1]),
+                     [True, False, False, True], np.ones(3, dtype=bool), np.ones(5, dtype=bool),
+                     np.ones((1, 4), dtype=bool)):
+            with pytest.raises(ValueError, match="mask must be a bool row"):
+                directed_mutation_batch(dom, genomes, mask, np.random.default_rng(7))
+            with pytest.raises(ValueError, match=r"mask \(bool\) and dominant chromosome"):
+                gene_injection_batch(dom, genomes, mask, dc_genes)
 
 
 class TestRepairPermutation:
@@ -353,22 +326,18 @@ class TestRepairPermutation:
     def test_fill_in_source_order(self):
         dom, dc_genes = GeneDomain.permutation(4), np.array([1, 1, 1, 1])
         out = gene_injection_batch(dom, np.array([[2, 3, 1, 4]]),
-                                   injection_keep(dom, np.array([1, 0, 0, 0]), dc_genes), dc_genes)
+                                   np.array([True, False, False, False]), dc_genes)
         assert out[0].tolist() == [1, 2, 3, 4]
 
     def test_no_fixed_loci_returns_source(self):
         src = np.array([3, 1, 2])
         dom, dc_genes = GeneDomain.permutation(3), np.array([1, 2, 3])
-        out = gene_injection_batch(dom, src[None, :],
-                                   injection_keep(dom, np.zeros(3, dtype=np.int64), dc_genes),
-                                   dc_genes)
+        out = gene_injection_batch(dom, src[None, :], np.zeros(3, dtype=bool), dc_genes)
         assert out[0].tolist() == src.tolist()
 
     def test_fully_fixed_returns_fixed(self):
         dom, dc_genes = GeneDomain.permutation(3), np.array([2, 1, 3])
-        out = gene_injection_batch(dom, np.array([[1, 2, 3]]),
-                                   injection_keep(dom, np.ones(3, dtype=np.int64), dc_genes),
-                                   dc_genes)
+        out = gene_injection_batch(dom, np.array([[1, 2, 3]]), np.ones(3, dtype=bool), dc_genes)
         assert out[0].tolist() == [2, 1, 3]
 
 

@@ -16,7 +16,6 @@ class TestGeneDomain:
         dom = GeneDomain.permutation(4, separators=1)
         assert dom.length == 5
         assert list(dom.alphabet) == [1, 2, 3, 4, 5]
-        assert dom.n_items == 4
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_rejects_nonpositive_length(self, bad):
@@ -24,8 +23,10 @@ class TestGeneDomain:
             GeneDomain.binary(bad)
 
     def test_rejects_items_exceeding_length(self):
-        with pytest.raises(ValueError):
-            GeneDomain(DomainKind.PERMUTATION, length=3, n_items=5)
+        # 5 items in 3 loci: the length is items + separators, so only
+        # negative separators could express it
+        with pytest.raises(ValueError, match="separators must be >= 0"):
+            GeneDomain.permutation(5, separators=-2)
 
     def test_contains(self):
         dom = GeneDomain.binary(3)

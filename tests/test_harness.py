@@ -6,7 +6,8 @@ import pytest
 
 from gea.harness import (BatchResult, Benchmark, compute_stats, confidence_interval,
                          full_benchmark, interval_data, run_batch)
-from gea.problems import OneMax, VehicleRouting, generate_instance
+from gea.problems import (Knapsack, OneMax, VehicleRouting, generate_instance,
+                          generate_knapsack_instance)
 from gea.rng import derive_run_seed
 from gea.solver import GeaSolver
 
@@ -212,7 +213,13 @@ class TestFullBenchmark:
         ([OneMax(4)], "gea", "variants must be a sequence, not a string: got 'gea'"),
         ([OneMax(4)], b"ga", "variants must be a sequence, not a string"),
         ("f1", ("ga",), "problems must be a sequence, not a string: got 'f1'"),
-    ], ids=["instance-not-problem", "nameless-problem", "variants-str", "variants-bytes", "problems-str"])
+        # a name is a report file's stem and a CSV field
+        ([OneMax(4), Knapsack(generate_knapsack_instance(5, 1), name="../escaped")], ("ga",),
+         "instance name must be .* got '../escaped'"),
+        ([Knapsack(generate_knapsack_instance(5, 1), name="a,b")], ("ga",),
+         "instance name must be .* got 'a,b'"),
+    ], ids=["instance-not-problem", "nameless-problem", "variants-str", "variants-bytes",
+            "problems-str", "name-parent-path", "name-comma"])
     def test_bad_problem_or_string_rejected_before_any_fit(self, fits, problems, variants,
                                                             pattern):
         # a string would iterate as characters: variants="gea" would name 'g'

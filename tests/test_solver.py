@@ -278,19 +278,19 @@ class TestElitePass:
         seen = {"mutation": 0, "injection": 0, "candidate": 0}
         directed, injection = gea.solver.directed_mutation_batch, gea.solver.gene_injection_batch
 
-        def checked_directed(domain, genomes, free, rng):
-            assert free.dtype == np.intp
-            assert np.array_equal(free, engineering.free_loci(domain, observer.fresh_pass()[1]))
+        def checked_directed(domain, genomes, mask, rng):
+            assert mask.dtype == bool
+            assert np.array_equal(mask, observer.fresh_pass()[1])
             seen["mutation"] += 1
-            return directed(domain, genomes, free, rng)
+            return directed(domain, genomes, mask, rng)
 
-        def checked_injection(domain, genomes, keep, dc_genes):
+        def checked_injection(domain, genomes, mask, dc_genes):
             dominant, fresh_mask, _ = observer.fresh_pass()
-            assert keep.dtype == bool
-            assert np.array_equal(keep, engineering.injection_keep(domain, fresh_mask, dominant))
+            assert mask.dtype == bool
+            assert np.array_equal(mask, fresh_mask)
             assert np.array_equal(dc_genes, dominant)
             seen["injection"] += 1
-            return injection(domain, genomes, keep, dc_genes)
+            return injection(domain, genomes, mask, dc_genes)
 
         class CandidateChecked:
             """Checks the candidate row, which follows the crossover
@@ -371,54 +371,6 @@ class TestGateSchedule:
         assert gates.dtype == bool and gates.shape == (7, 3)
         assert _Generation(GeaSolver(max_iters=0), None).schedule(
             split_streams(0)[1]).shape == (0, 3)
-
-
-class TestDerivedPassArrays:
-    def test_free_loci_and_keep_row_follow_the_elite(self):
-        # scenarios 2 and 3 every generation, no crossover; elites of 3
-        # copies of one route, each with its own swap, so the mask fixes the
-        # loci that no swap touched and changes with the swaps
-        problem = VehicleRouting(generate_instance(7, 3, 2))
-        domain = problem.domain()
-        generation = _Generation(GeaSolver(pop_size=10, crossover_rate=0.0, mutation_rate=0.3,
-                                           elite_fraction=0.3), domain)
-        rng = np.random.default_rng(5)
-
-        def population(swaps):
-            genes = domain.sample_batch(np.random.default_rng(len(swaps)), 10)
-            for row, (i, j) in enumerate(swaps):
-                genes[row] = genes[9]
-                genes[row, [i, j]] = genes[9, [j, i]]
-            # elite rows first: the costs rank the rows in order
-            return Population(genes, np.arange(10.0))
-
-        def fresh(pop):
-            elite = pop.genes[:3]
-            dominant, counts = engineering.dominant_chromosome(
-                engineering.repetition_matrix(elite), elite)
-            mask = engineering.build_mask(counts, generation.threshold)
-            return (engineering.free_loci(domain, mask),
-                    engineering.injection_keep(domain, mask, dominant))
-
-        gates = np.array([False, True, True])
-        last = None
-        for swaps in ([(0, 1), (2, 3), (4, 5)], [(0, 1), (2, 3), (4, 5)],
-                      [(1, 2), (3, 4), (5, 6)], [(0, 6), (1, 5), (2, 4)]):
-            pop = population(swaps)
-            generation.step(pop, problem, rng, gates)
-            free, keep = fresh(pop)
-            # the three loci that no swap touched are fixed
-            assert free.size == domain.length - 3 and keep.sum() == 3
-            assert np.array_equal(generation.free, free)
-            assert np.array_equal(generation.keep, keep)
-            if last is not None and last[0] == swaps:
-                # an unchanged elite keeps the arrays derived from its pass
-                assert generation.free is last[1] and generation.keep is last[2]
-            last = swaps, generation.free, generation.keep
-        # a pass that no mechanism reads yet derives nothing
-        generation.step(population([(0, 2), (1, 3), (4, 6)]), problem, rng,
-                        np.array([True, False, False]))
-        assert generation.free is None and generation.keep is None
 
 
 class TestStep:
