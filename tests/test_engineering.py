@@ -231,6 +231,14 @@ class TestGeneInjection:
         with pytest.raises(ValueError, match="genome length"):
             gene_injection_batch(dom, genomes, np.ones(4, dtype=bool), dc_genes[:3])
 
+    def test_keep_row_must_be_bool(self):
+        # injection takes the pass's bool mask as it is: a 0/1 integer row is
+        # refused, not read as a mask
+        dom = GeneDomain.binary(4)
+        with pytest.raises(ValueError, match=r"mask \(bool\)"):
+            gene_injection_batch(dom, np.zeros((1, 4), dtype=np.uint8), np.array([1, 0, 0, 1]),
+                                 np.ones(4, dtype=np.uint8))
+
     def test_injection_postconditions_randomized(self):
         rng = np.random.default_rng(77)
         bin_dom = GeneDomain.binary(9)
@@ -304,6 +312,25 @@ class TestPermutationInjectionOracle:
 
 
 class TestMaskReading:
+    @pytest.mark.parametrize("kind", ["binary", "permutation"])
+    def test_nonzero_entry_is_fixed_in_both_kernels(self, kind):
+        # a set entry of the bool mask fixes its locus in both kernels:
+        # directed mutation leaves it, injection writes the dominant gene;
+        # an integer entry of 2 is refused rather than read as True
+        dom = GeneDomain.binary(6) if kind == "binary" else GeneDomain.permutation(6)
+        genomes = dom.sample_batch(np.random.default_rng(5), 50)
+        dc_genes = dom.sample_batch(np.random.default_rng(6), 1)[0]
+        twos = np.array([2, 0, 0, 2, 0, 0])
+        fixed = twos != 0
+        mutated = directed_mutation_batch(dom, genomes, fixed, np.random.default_rng(7))
+        assert np.array_equal(mutated[:, fixed], genomes[:, fixed])
+        injected = gene_injection_batch(dom, genomes, fixed, dc_genes)
+        assert (injected[:, fixed] == dc_genes[fixed]).all()
+        with pytest.raises(ValueError, match="mask must be a bool row"):
+            directed_mutation_batch(dom, genomes, twos, np.random.default_rng(7))
+        with pytest.raises(ValueError, match=r"mask \(bool\)"):
+            gene_injection_batch(dom, genomes, twos, dc_genes)
+
     @pytest.mark.parametrize("kind", ["binary", "permutation"])
     def test_non_bool_or_misshapen_mask_refused_in_both_kernels(self, kind):
         # both kernels take the pass's bool mask as it is: a 0/1 integer or
